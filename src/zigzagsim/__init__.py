@@ -5,7 +5,7 @@ wired-cum-wireless topology with a bursty lossy last hop."""
 from .control import (BASELINE, CONGESTION, WIRELESS, ZIGZAG,
                       CongestionController, LossEvent, RottEstimator,
                       classify_loss, estimate_rott)
-from .harness import Network, RunResult, build_reference_topology, run_scenario
+from .harness import Network, RunResult, run_scenario
 from .kernel import PastTimeError, RngStream, Simulator
 from .loss import (GilbertElliottModel, UniformLossModel, mean_burst_length,
                    steady_state_plr)
@@ -15,7 +15,7 @@ __all__ = [
     "BASELINE", "CONGESTION", "WIRELESS", "ZIGZAG",
     "CongestionController", "LossEvent", "RottEstimator",
     "classify_loss", "estimate_rott",
-    "Network", "RunResult", "build_reference_topology", "run_scenario",
+    "Network", "RunResult", "run_scenario",
     "PastTimeError", "RngStream", "Simulator",
     "GilbertElliottModel", "UniformLossModel",
     "mean_burst_length", "steady_state_plr",

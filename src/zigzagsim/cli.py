@@ -2,19 +2,19 @@
 loss-model validation."""
 
 import argparse
-import csv
+import hashlib
+import itertools
 import math
 import multiprocessing
 import os
 import sys
-from dataclasses import replace
 
 from . import loss as loss_models
 from . import metrics
 from .harness import run_scenario
 from .kernel import RngStream
-from .scenario import (GILBERT, UNIFORM, LossSpec, Scenario, ScenarioError,
-                       load_scenario)
+from .scenario import (CONVERTERS, GILBERT, UNIFORM, LossSpec, Scenario,
+                       ScenarioError, convert, load_scenario, read_pairs)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -22,11 +22,19 @@ EXIT_RUNTIME = 2
 EXIT_TOLERANCE = 3
 
 # Table-style default campaign: the 19.8%-PLR couple is covered by
-# validate-loss but not part of the comparison matrix.
-DEFAULT_COUPLES = [(0.001, 0.6), (0.01, 0.5), (0.1, 0.6)]
-DEFAULT_FLOWS = [1, 5, 10]
-DEFAULT_RATES = [1.0e6, 1.5e6]
-DEFAULT_KINDS = [GILBERT, UNIFORM]
+# validate-loss but not part of the comparison matrix.  These four axes
+# stay outermost, in this order, so the default grid keeps its row order;
+# any other axis of a spec varies inside them.
+DEFAULT_GRID = {
+    "loss.kind": [GILBERT, UNIFORM],
+    "couples": [LossSpec(GILBERT, p=0.001, q=0.6),
+                LossSpec(GILBERT, p=0.01, q=0.5),
+                LossSpec(GILBERT, p=0.1, q=0.6)],
+    "flow_count": [1, 5, 10],
+    "aggregate_rate_bps": [1.0e6, 1.5e6],
+}
+SPEC_ALIASES = {"kinds": "loss.kind", "flows": "flow_count",
+                "rates_bps": "aggregate_rate_bps"}
 
 PLR_REL_TOL = 0.05
 BURST_REL_TOL = 0.05
@@ -34,8 +42,10 @@ BURST_REL_TOL = 0.05
 
 def _run_tag(scenario):
     plr = 100.0 * scenario.loss.analytic_plr
+    # the digest tells apart scenarios that the readable part leaves equal
+    digest = hashlib.sha256(repr(scenario.key()).encode()).hexdigest()[:8]
     return (f"{scenario.loss.kind}_plr{plr:.3f}pct_{scenario.flow_count}f_"
-            f"{scenario.aggregate_rate_bps / 1e6:g}Mbps_"
+            f"{scenario.aggregate_rate_bps / 1e6:g}Mbps_{digest}_"
             f"seed{scenario.seed}_{scenario.policy}")
 
 
@@ -59,23 +69,8 @@ def cmd_run(args):
         os.makedirs(args.out, exist_ok=True)
         result = run_scenario(scenario)
         tag = _write_run_artifacts(args.out, result)
-        tput = metrics.run_mean_throughput(result)
-        util = metrics.bandwidth_utilization(tput, scenario.aggregate_rate_bps)
-        summary_path = os.path.join(args.out, f"{tag}_summary.csv")
-        with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["flow_count", "loss_kind", "plr_pct",
-                        "aggregate_rate_bps", "policy", "seed",
-                        "mean_throughput_bps", "bw_utilization_pct",
-                        "congestion_events", "wireless_events",
-                        "queue_drops", "wireless_drops"])
-            w.writerow([scenario.flow_count, scenario.loss.kind,
-                        f"{100.0 * scenario.loss.analytic_plr:.4f}",
-                        scenario.aggregate_rate_bps, scenario.policy,
-                        scenario.seed, f"{tput:.3f}", f"{util:.3f}",
-                        result.congestion_events, result.wireless_events,
-                        sum(f.queue_drops for f in result.flows),
-                        sum(f.wireless_drops for f in result.flows)])
+        tput, util = metrics.write_run_summary_csv(
+            os.path.join(args.out, f"{tag}_summary.csv"), result)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -87,80 +82,56 @@ def cmd_run(args):
 # -- matrix ------------------------------------------------------------
 
 
-def _parse_list(value, conv):
-    return [conv(v.strip()) for v in value.split(",") if v.strip()]
+def _couple(text):
+    p, sep, q = text.partition(":")
+    if not sep:
+        raise ValueError(f"expected p:q, got {text!r}")
+    couple = LossSpec(GILBERT, p=float(p), q=float(q))
+    couple.validate()
+    return couple
+
+
+# every pair runs both policies over the loss that kinds x couples set
+NOT_SPEC_KEYS = ("policy", "loss.p", "loss.q", "loss.plr")
+SPEC_CONVERTERS = {**CONVERTERS, "couples": _couple,
+                   **{alias: CONVERTERS[key]
+                      for alias, key in SPEC_ALIASES.items()}}
 
 
 def load_matrix_spec(path):
-    """Parse a matrix spec file; missing keys fall back to the defaults."""
-    spec = {
-        "flows": DEFAULT_FLOWS,
-        "couples": DEFAULT_COUPLES,
-        "rates_bps": DEFAULT_RATES,
-        "kinds": DEFAULT_KINDS,
-        "duration_s": 500.0,
-        "seed": 1,
-        "queue_capacity_pkts": 50,
-        "packet_size_bytes": 1000,
-        "alpha": 0.125,
-    }
+    """Parse a matrix spec: scenario keys, each with a comma-separated list
+    of values; grid axes it leaves out keep DEFAULT_GRID's values."""
+    spec = dict(DEFAULT_GRID)
     if path is None:
         return spec
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ScenarioError(f"line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "flows":
-                spec["flows"] = _parse_list(value, int)
-            elif key == "couples":
-                couples = []
-                for item in _parse_list(value, str):
-                    p, _, q = item.partition(":")
-                    couples.append((float(p), float(q)))
-                spec["couples"] = couples
-            elif key == "rates_bps":
-                spec["rates_bps"] = _parse_list(value, float)
-            elif key == "kinds":
-                spec["kinds"] = _parse_list(value, str)
-            elif key in ("duration_s", "alpha"):
-                spec[key] = float(value)
-            elif key in ("seed", "queue_capacity_pkts", "packet_size_bytes"):
-                spec[key] = int(value)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r}")
+        text = fh.read()
+    for key, value in read_pairs(text):
+        if key in NOT_SPEC_KEYS:
+            raise ScenarioError(f"{key}: not a matrix key; every pair runs "
+                                "both policies, and kinds and couples set "
+                                "the loss")
+        spec[SPEC_ALIASES.get(key, key)] = [
+            convert(key, item.strip(), SPEC_CONVERTERS)
+            for item in value.split(",") if item.strip()]
     return spec
 
 
 def expand_matrix(spec):
-    """Expand a matrix spec into policy-free scenario templates."""
+    """Expand a matrix spec into policy-free scenario templates, one per
+    point of the product of its axes."""
     templates = []
-    for kind in spec["kinds"]:
-        for p, q in spec["couples"]:
-            if kind == GILBERT:
-                lspec = LossSpec(kind=GILBERT, p=p, q=q)
-            elif kind == UNIFORM:
-                lspec = LossSpec(kind=UNIFORM,
-                                 plr=loss_models.steady_state_plr(p, q))
-            else:
-                raise ScenarioError(f"kinds: unknown loss kind {kind!r}")
-            for flows in spec["flows"]:
-                for rate in spec["rates_bps"]:
-                    templates.append(Scenario(
-                        flow_count=flows,
-                        aggregate_rate_bps=rate,
-                        loss=lspec,
-                        duration_s=spec["duration_s"],
-                        seed=spec["seed"],
-                        queue_capacity_pkts=spec["queue_capacity_pkts"],
-                        packet_size_bytes=spec["packet_size_bytes"],
-                        alpha=spec["alpha"],
-                    ).validate())
+    for values in itertools.product(*spec.values()):
+        point = dict(zip(spec, values))
+        kind = point.pop("loss.kind")
+        couple = point.pop("couples")
+        if kind == GILBERT:
+            lspec = couple
+        elif kind == UNIFORM:
+            lspec = LossSpec(kind=UNIFORM, plr=couple.analytic_plr)
+        else:
+            raise ScenarioError(f"kinds: unknown loss kind {kind!r}")
+        templates.append(Scenario(loss=lspec, **point).validate())
     return templates
 
 

@@ -9,7 +9,7 @@ exponential mean and deviation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BASELINE = "baseline"
 ZIGZAG = "zigzag"
@@ -77,7 +77,6 @@ class LossEvent:
 
     n: int
     rott_at_detection: float
-    detected_at: float = 0.0
 
     def __post_init__(self):
         if self.n < 1:

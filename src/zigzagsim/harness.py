@@ -2,16 +2,16 @@
 
 Layout: n0 --(2 Mb/s, 100 ms, duplex wired)-- n1 --(1.3 Mb/s, 200 ms,
 simplex wireless each way)-- n2.  All senders live at n0, receivers at n2.
-A shared drop-tail queue feeds the n1->n2 wireless link; the loss model is
-consulted only on that direction.  The reverse feedback path is lossless
+A shared drop-tail queue feeds the n1->n2 wireless link, the only link
+that consults the loss model.  The reverse feedback path is lossless
 and lightly loaded (40-byte feedback), so it is modeled as a fixed latency.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 
-from .control import (BASELINE, CONGESTION, CongestionController, LossEvent,
-                      TraceRecord, estimate_rott)
+from .control import (CongestionController, LossEvent, TraceRecord,
+                      estimate_rott)
 from .kernel import RngStream, Simulator
 from .scenario import Scenario, ScenarioError
 
@@ -31,7 +31,6 @@ DEFAULT_TIMEOUT_GRACE_S = 0.7
 class LinkConfig:
     bandwidth_bps: float
     propagation_delay_s: float
-    direction: str = "simplex"
     loss_model: object = None
 
     def __post_init__(self):
@@ -122,7 +121,6 @@ class FlowStats:
     timeouts: int = 0
     generated: int = 0
     delivery_times: list = field(default_factory=list)
-    delivery_seqs: list = field(default_factory=list)
 
 
 class Sender:
@@ -204,7 +202,6 @@ class Sender:
         # lossless return path
         self.stats.delivered += 1
         self.stats.delivery_times.append(self.sim.now)
-        self.stats.delivery_seqs.append(seq)
         self.sim.schedule(self.receiver_delay_s,
                           lambda s=seq, t=sent_at: self.on_feedback(s, t),
                           "fb")
@@ -258,7 +255,7 @@ class Sender:
         runs.append(prev - run_start + 1)
         now = self.sim.now
         for n in runs:
-            event = LossEvent(n=n, rott_at_detection=rott_i, detected_at=now)
+            event = LossEvent(n=n, rott_at_detection=rott_i)
             cls = ctrl.on_loss_event(event, forced_congestion=forced)
             self.trace.append(TraceRecord(now, self.flow_id, ctrl.cwnd,
                                           ctrl.phase, "loss", cls, n, rott_i,
@@ -304,8 +301,7 @@ class Sender:
     def _emit_timeout_event(self, n, rott_i):
         ctrl = self.ctrl
         est = ctrl.estimator
-        event = LossEvent(n=n, rott_at_detection=rott_i,
-                          detected_at=self.sim.now)
+        event = LossEvent(n=n, rott_at_detection=rott_i)
         cls = ctrl.on_loss_event(event, forced_congestion=True)
         self.trace.append(TraceRecord(self.sim.now, self.flow_id, ctrl.cwnd,
                                       ctrl.phase, "loss", cls, n, rott_i,
@@ -330,15 +326,6 @@ class RunResult:
     def wireless_events(self):
         return sum(c.wireless_events for c in self.controllers)
 
-    def delivered_bits(self, t_from, t_to):
-        size = self.scenario.packet_size_bytes * 8
-        total = 0
-        for fs in self.flows:
-            for t in fs.delivery_times:
-                if t_from < t <= t_to:
-                    total += size
-        return total
-
     def in_flight_at_horizon(self, flow_id):
         fs = self.flows[flow_id]
         return fs.sent - fs.delivered - fs.queue_drops - fs.wireless_drops
@@ -358,10 +345,10 @@ class Network:
                                  + fb_ser / WIRED_BANDWIDTH_BPS
                                  + WIRED_DELAY_S)
         self.wired_link = FifoLink(
-            self.sim, LinkConfig(WIRED_BANDWIDTH_BPS, WIRED_DELAY_S, "duplex"))
+            self.sim, LinkConfig(WIRED_BANDWIDTH_BPS, WIRED_DELAY_S))
         self.bottleneck = BottleneckLink(
             self.sim,
-            LinkConfig(WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S, "simplex",
+            LinkConfig(WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
                        scenario.loss.build()),
             scenario.queue_capacity_pkts,
             self.rng.substream("loss"))
@@ -385,10 +372,6 @@ class Network:
         )
 
 
-def build_reference_topology(scenario, log_events=False):
-    return Network(scenario, log_events=log_events)
-
-
 def run_scenario(scenario, log_events=False):
     """Build the reference topology and run it to the scenario horizon."""
-    return build_reference_topology(scenario, log_events=log_events).run()
+    return Network(scenario, log_events=log_events).run()

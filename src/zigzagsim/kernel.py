@@ -8,22 +8,6 @@ class PastTimeError(ValueError):
     """Raised when an event is scheduled before the current virtual time."""
 
 
-class EventHandle:
-    """Permits cancellation of a scheduled event before it fires."""
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry):
-        self._entry = entry
-
-    def cancel(self):
-        self._entry[2] = None
-
-    @property
-    def cancelled(self):
-        return self._entry[2] is None
-
-
 class Simulator:
     """Single-threaded event loop over a virtual clock in seconds.
 
@@ -42,15 +26,13 @@ class Simulator:
     def schedule_at(self, fire_at, action, tag=""):
         """Schedule ``action()`` at virtual time ``fire_at``.
 
-        Returns an EventHandle; scheduling in the past raises PastTimeError.
+        Scheduling in the past raises PastTimeError.
         """
         if fire_at < self.now:
             raise PastTimeError(
                 f"cannot schedule at t={fire_at} (clock is {self.now})")
-        entry = [fire_at, self._seq, action, tag]
+        heapq.heappush(self._queue, (fire_at, self._seq, action, tag))
         self._seq += 1
-        heapq.heappush(self._queue, entry)
-        return EventHandle(entry)
 
     def schedule(self, delay, action, tag=""):
         """Schedule ``action()`` after ``delay`` seconds of virtual time."""
@@ -59,7 +41,7 @@ class Simulator:
     def run_until(self, t_end):
         """Dispatch every event with fire_at <= t_end; leave clock at t_end.
 
-        Returns the number of events dispatched (cancelled entries excluded).
+        Returns the number of events dispatched.
         """
         if t_end < self.now:
             raise PastTimeError(
@@ -68,8 +50,6 @@ class Simulator:
         count = 0
         while queue and queue[0][0] <= t_end:
             fire_at, seq, action, tag = heapq.heappop(queue)
-            if action is None:
-                continue
             self.now = fire_at
             if self.event_log is not None:
                 self.event_log.append((fire_at, seq, tag))

@@ -213,3 +213,26 @@ def write_summary_csv(path, rows):
         w.writerow(ExperimentResult.FIELDS)
         for row in rows:
             w.writerow(row.as_row())
+
+
+def write_run_summary_csv(path, result):
+    """Write the one-row summary of a single run; returns its mean
+    throughput (b/s) and bandwidth utilisation (%)."""
+    sc = result.scenario
+    tput = run_mean_throughput(result)
+    util = bandwidth_utilization(tput, sc.aggregate_rate_bps)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["flow_count", "loss_kind", "plr_pct",
+                    "aggregate_rate_bps", "policy", "seed",
+                    "mean_throughput_bps", "bw_utilization_pct",
+                    "congestion_events", "wireless_events",
+                    "queue_drops", "wireless_drops"])
+        w.writerow([sc.flow_count, sc.loss.kind,
+                    f"{100.0 * sc.loss.analytic_plr:.4f}",
+                    sc.aggregate_rate_bps, sc.policy, sc.seed,
+                    f"{tput:.3f}", f"{util:.3f}",
+                    result.congestion_events, result.wireless_events,
+                    sum(f.queue_drops for f in result.flows),
+                    sum(f.wireless_drops for f in result.flows)])
+    return tput, util

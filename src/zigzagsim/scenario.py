@@ -1,20 +1,14 @@
 """Scenario description and its flat key-value file format."""
 
+import math
 from dataclasses import dataclass, field, replace
 
 from . import loss as loss_models
+from .control import DEFAULT_ALPHA, INITIAL_SSTHRESH
 
 GILBERT = "gilbert"
 UNIFORM = "uniform"
 NONE = "none"
-
-DEFAULT_DURATION_S = 500.0
-DEFAULT_WARMUP_S = 100.0
-DEFAULT_QUEUE_CAPACITY = 50
-DEFAULT_PACKET_SIZE = 1000
-DEFAULT_FEEDBACK_SIZE = 40
-DEFAULT_ALPHA = 0.125
-DEFAULT_SEED = 1
 
 
 class ScenarioError(ValueError):
@@ -62,30 +56,39 @@ class Scenario:
     aggregate_rate_bps: float = 1.0e6
     loss: LossSpec = field(default_factory=LossSpec)
     policy: str = "baseline"
-    duration_s: float = DEFAULT_DURATION_S
-    seed: int = DEFAULT_SEED
-    queue_capacity_pkts: int = DEFAULT_QUEUE_CAPACITY
-    packet_size_bytes: int = DEFAULT_PACKET_SIZE
-    feedback_size_bytes: int = DEFAULT_FEEDBACK_SIZE
+    duration_s: float = 500.0
+    seed: int = 1
+    queue_capacity_pkts: int = 50
+    packet_size_bytes: int = 1000
+    feedback_size_bytes: int = 40
     alpha: float = DEFAULT_ALPHA
-    warmup_s: float = DEFAULT_WARMUP_S
+    warmup_s: float = 100.0
     strict_n4: bool = False
-    initial_ssthresh_pkts: float = 50.0
+    initial_ssthresh_pkts: float = INITIAL_SSTHRESH
 
     def validate(self):
+        for name in ("aggregate_rate_bps", "duration_s", "alpha", "warmup_s",
+                     "initial_ssthresh_pkts"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(
+                    f"{name}: must be finite, got {getattr(self, name)}")
         if self.flow_count < 1:
             raise ScenarioError(f"flow_count: must be >= 1, got {self.flow_count}")
         if self.aggregate_rate_bps <= 0:
             raise ScenarioError("aggregate_rate_bps: must be positive")
         if self.policy not in ("baseline", "zigzag"):
             raise ScenarioError(f"policy: unknown policy {self.policy!r}")
-        if self.duration_s < self.warmup_s:
+        if self.warmup_s < 0:
+            raise ScenarioError(f"warmup_s: must be >= 0, got {self.warmup_s}")
+        if self.duration_s <= self.warmup_s:
             raise ScenarioError(
-                f"duration_s: must be >= warm-up ({self.warmup_s} s)")
+                f"duration_s: must exceed warm-up ({self.warmup_s} s)")
         if self.queue_capacity_pkts < 1:
             raise ScenarioError("queue_capacity_pkts: must be >= 1")
         if self.packet_size_bytes < 1:
             raise ScenarioError("packet_size_bytes: must be >= 1")
+        if self.feedback_size_bytes < 1:
+            raise ScenarioError("feedback_size_bytes: must be >= 1")
         if not (0.0 < self.alpha < 0.5):
             raise ScenarioError(f"alpha: must be in (0, 0.5), got {self.alpha}")
         if self.initial_ssthresh_pkts < 2:
@@ -109,7 +112,17 @@ class Scenario:
                 self.initial_ssthresh_pkts)
 
 
-_FIELD_PARSERS = {
+def _strict_bool(text):
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# one converter per key of the flat format; Scenario.validate checks ranges
+CONVERTERS = {
     "flow_count": int,
     "aggregate_rate_bps": float,
     "policy": str,
@@ -120,11 +133,8 @@ _FIELD_PARSERS = {
     "feedback_size_bytes": int,
     "alpha": float,
     "warmup_s": float,
-    "strict_n4": lambda s: s.lower() in ("1", "true", "yes"),
+    "strict_n4": _strict_bool,
     "initial_ssthresh_pkts": float,
-}
-
-_LOSS_PARSERS = {
     "loss.kind": str,
     "loss.p": float,
     "loss.q": float,
@@ -132,58 +142,42 @@ _LOSS_PARSERS = {
 }
 
 
-def parse_scenario_text(text):
-    """Parse the flat ``key = value`` scenario format ('#' starts a comment)."""
-    fields = {}
-    loss_fields = {}
+def read_pairs(text):
+    """Yield (key, value) per ``key = value`` line ('#' starts a comment)."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise ScenarioError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        try:
-            if key in _FIELD_PARSERS:
-                fields[key] = _FIELD_PARSERS[key](value)
-            elif key in _LOSS_PARSERS:
-                loss_fields[key.split(".", 1)[1]] = _LOSS_PARSERS[key](value)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            raise ScenarioError(f"{key}: bad value {value!r}") from exc
+        yield key.strip(), value.strip()
+
+
+def convert(key, text, converters=CONVERTERS):
+    """Convert the text of one value of ``key``; errors name the key."""
+    if key not in converters:
+        raise ScenarioError(f"unknown key {key!r}")
+    try:
+        return converters[key](text)
+    except ValueError as exc:
+        raise ScenarioError(f"{key}: bad value {text!r}") from exc
+
+
+def parse_scenario_text(text):
+    """Parse the flat ``key = value`` scenario format ('#' starts a comment)."""
+    fields = {}
+    loss_fields = {}
+    for key, value in read_pairs(text):
+        if key.startswith("loss."):
+            loss_fields[key.removeprefix("loss.")] = convert(key, value)
+        else:
+            fields[key] = convert(key, value)
     if loss_fields:
         fields["loss"] = LossSpec(**loss_fields)
-    scenario = Scenario(**fields)
-    scenario.validate()
-    return scenario
+    return Scenario(**fields).validate()
 
 
 def load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scenario_text(fh.read())
-
-
-def format_scenario(scenario):
-    """Render a Scenario back into its flat file format."""
-    lines = [
-        f"flow_count = {scenario.flow_count}",
-        f"aggregate_rate_bps = {scenario.aggregate_rate_bps}",
-        f"loss.kind = {scenario.loss.kind}",
-        f"loss.p = {scenario.loss.p}",
-        f"loss.q = {scenario.loss.q}",
-        f"loss.plr = {scenario.loss.plr}",
-        f"policy = {scenario.policy}",
-        f"duration_s = {scenario.duration_s}",
-        f"seed = {scenario.seed}",
-        f"queue_capacity_pkts = {scenario.queue_capacity_pkts}",
-        f"packet_size_bytes = {scenario.packet_size_bytes}",
-        f"feedback_size_bytes = {scenario.feedback_size_bytes}",
-        f"alpha = {scenario.alpha}",
-        f"warmup_s = {scenario.warmup_s}",
-        f"strict_n4 = {scenario.strict_n4}",
-        f"initial_ssthresh_pkts = {scenario.initial_ssthresh_pkts}",
-    ]
-    return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from zigzagsim import cli
+from zigzagsim.scenario import LossSpec, Scenario, parse_scenario_text
 
 REFERENCE_CONFIG = """\
 flow_count = 1
@@ -67,6 +68,29 @@ class TestRun:
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                          "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("line, field", [
+        ("aggregate_rate_bps = nan", "aggregate_rate_bps"),
+        ("duration_s = inf", "duration_s"),
+        ("initial_ssthresh_pkts = inf", "initial_ssthresh_pkts"),
+        ("warmup_s = -5", "warmup_s"),
+        ("duration_s = 100", "duration_s"),
+        ("feedback_size_bytes = -100000", "feedback_size_bytes"),
+        ("strict_n4 = ture", "strict_n4"),
+    ], ids=["nan-rate", "inf-duration", "inf-ssthresh", "negative-warmup",
+            "no-window", "negative-feedback", "not-a-boolean"])
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, line,
+                                         field):
+        config = write(tmp_path / "bad.cfg", REFERENCE_CONFIG + line + "\n")
+        assert cli.main(["run", "--config", config,
+                         "--out", str(tmp_path / "out")]) == 1
+        assert field in capsys.readouterr().err
+
+    def test_strict_n4_booleans(self):
+        for text, value in (("1", True), ("TRUE", True), ("Yes", True),
+                            ("0", False), ("false", False), ("NO", False)):
+            sc = parse_scenario_text(f"strict_n4 = {text}\n")
+            assert sc.strict_n4 is value
+
 
 class TestMatrix:
     def test_tiny_matrix(self, tmp_path):
@@ -99,10 +123,19 @@ class TestMatrix:
         assert cli.main(["matrix", "--spec", spec, "--out", str(out)]) == 0
         assert (out / "summary.csv").read_text().splitlines()[1:] == []
 
-    def test_bad_spec_rejected(self, tmp_path):
-        spec = write(tmp_path / "matrix.cfg", "nonsense line\n")
+    @pytest.mark.parametrize("text, key", [
+        ("nonsense line", "line 1"),
+        ("couples = 0.1", "couples"),
+        ("couples = a:b", "couples"),
+        ("flows = x", "flows"),
+        ("policy = zigzag", "policy"),
+    ], ids=["no-equals", "couple-without-colon", "couple-not-numbers",
+            "flows-not-int", "policy"])
+    def test_bad_spec_rejected(self, tmp_path, capsys, text, key):
+        spec = write(tmp_path / "matrix.cfg", text + "\n")
         assert cli.main(["matrix", "--spec", spec,
                          "--out", str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
 
     def test_default_matrix_shape(self):
         templates = cli.expand_matrix(cli.load_matrix_spec(None))
@@ -111,6 +144,38 @@ class TestMatrix:
         assert all(t.policy == "baseline" for t in templates)
         kinds = {t.loss.kind for t in templates}
         assert kinds == {"gilbert", "uniform"}
+
+    def test_default_matrix_order(self):
+        expected = []
+        for kind in ("gilbert", "uniform"):
+            for p, q in ((0.001, 0.6), (0.01, 0.5), (0.1, 0.6)):
+                loss = LossSpec("gilbert", p=p, q=q) if kind == "gilbert" \
+                    else LossSpec("uniform", plr=p / (p + q))
+                for flows in (1, 5, 10):
+                    for rate in (1.0e6, 1.5e6):
+                        expected.append(Scenario(flow_count=flows,
+                                                 aggregate_rate_bps=rate,
+                                                 loss=loss))
+        assert cli.expand_matrix(cli.load_matrix_spec(None)) == expected
+
+    def test_any_scenario_key_is_an_axis(self, tmp_path):
+        # two couples with equal p/(p+q) and two queue sizes: four pairs
+        # whose artefacts must not overwrite one another
+        spec = write(tmp_path / "matrix.cfg", """\
+flows = 1
+couples = 0.01:0.5, 0.02:1.0
+rates_bps = 1.0e6
+kinds = gilbert
+queue_capacity_pkts = 20, 50
+duration_s = 110
+""")
+        templates = cli.expand_matrix(cli.load_matrix_spec(spec))
+        assert [(t.loss.q, t.queue_capacity_pkts) for t in templates] \
+            == [(0.5, 20), (0.5, 50), (1.0, 20), (1.0, 50)]
+        out = tmp_path / "out"
+        assert cli.main(["matrix", "--spec", spec, "--out", str(out)]) == 0
+        names = [n for n in os.listdir(out) if n != "summary.csv"]
+        assert len(names) == 16
 
 
 class TestValidateLoss:

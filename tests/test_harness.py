@@ -1,8 +1,9 @@
 import pytest
 
+from zigzagsim import metrics
 from zigzagsim.harness import (WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
-                               BottleneckLink, FifoLink, LinkConfig,
-                               build_reference_topology, run_scenario)
+                               BottleneckLink, FifoLink, LinkConfig, Network,
+                               Sender, run_scenario)
 from zigzagsim.kernel import RngStream, Simulator
 from zigzagsim.loss import UniformLossModel
 from zigzagsim.scenario import LossSpec, Scenario, ScenarioError
@@ -85,27 +86,26 @@ class TestBottleneckLink:
 
 class TestTopologyBuild:
     def test_default_scenario_builds(self):
-        net = build_reference_topology(Scenario())
+        net = Network(Scenario())
         assert len(net.senders) == 1
         assert net.bottleneck.config.bandwidth_bps == pytest.approx(1.3e6)
         assert net.bottleneck.config.loss_model is None
 
     def test_loss_model_attached_to_wireless_only(self):
         sc = Scenario(loss=LossSpec("gilbert", p=0.01, q=0.5))
-        net = build_reference_topology(sc)
+        net = Network(sc)
         assert net.bottleneck.config.loss_model is not None
         assert net.wired_link.config.loss_model is None
 
     def test_invalid_scenarios_rejected_with_field_name(self):
         with pytest.raises(ScenarioError, match="flow_count"):
-            build_reference_topology(Scenario(flow_count=0))
+            Network(Scenario(flow_count=0))
         with pytest.raises(ScenarioError, match="alpha"):
-            build_reference_topology(Scenario(alpha=0.6))
+            Network(Scenario(alpha=0.6))
         with pytest.raises(ScenarioError, match="duration_s"):
-            build_reference_topology(Scenario(duration_s=50.0))
+            Network(Scenario(duration_s=50.0))
         with pytest.raises(ScenarioError, match="loss.q"):
-            build_reference_topology(
-                Scenario(loss=LossSpec("gilbert", p=0.1, q=0.0)))
+            Network(Scenario(loss=LossSpec("gilbert", p=0.1, q=0.0)))
 
 
 def short_scenario(**kw):
@@ -151,12 +151,22 @@ class TestRunFlowSet:
                 <= WIRELESS_BANDWIDTH_BPS * interval + size_bits
             t += interval
 
-    def test_fifo_per_flow_delivery_order(self):
+    def test_fifo_per_flow_delivery_order(self, monkeypatch):
+        delivered = {}
+        deliver = Sender._deliver
+
+        def record(sender, seq, sent_at):
+            delivered.setdefault(sender.flow_id, []).append(seq)
+            deliver(sender, seq, sent_at)
+
+        monkeypatch.setattr(Sender, "_deliver", record)
         sc = short_scenario(flow_count=3, aggregate_rate_bps=1.5e6,
                             loss=LossSpec("gilbert", p=0.05, q=0.5))
         result = run_scenario(sc)
-        for fs in result.flows:
-            seqs = fs.delivery_seqs
+        assert sorted(delivered) == [0, 1, 2]
+        for flow_id, fs in enumerate(result.flows):
+            seqs = delivered[flow_id]
+            assert len(seqs) == fs.delivered
             assert seqs == sorted(seqs)
             assert len(set(seqs)) == len(seqs)
 
@@ -164,8 +174,8 @@ class TestRunFlowSet:
         sc = Scenario(flow_count=1, aggregate_rate_bps=1.0e6,
                       duration_s=500.0, seed=1)
         result = run_scenario(sc)
-        bits = result.delivered_bits(100.0, 500.0)
-        assert bits / 400.0 == pytest.approx(1.0e6, rel=0.02)
+        assert metrics.run_mean_throughput(result) \
+            == pytest.approx(1.0e6, rel=0.02)
 
     def test_same_seed_reproducible(self):
         sc = short_scenario(flow_count=2,

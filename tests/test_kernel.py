@@ -29,16 +29,6 @@ def test_equal_time_events_fire_in_insertion_order():
     assert count == 3
 
 
-def test_cancel_before_fire():
-    sim = Simulator()
-    log = []
-    handle = sim.schedule_at(1.0, record(log, "never"))
-    handle.cancel()
-    assert handle.cancelled
-    assert sim.run_until(2.0) == 0
-    assert log == []
-
-
 def test_schedule_in_past_rejected():
     sim = Simulator()
     sim.schedule_at(1.0, lambda: None)
