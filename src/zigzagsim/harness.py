@@ -3,8 +3,10 @@
 Layout: n0 --(2 Mb/s, 100 ms, duplex wired)-- n1 --(1.3 Mb/s, 200 ms,
 simplex wireless each way)-- n2.  All senders live at n0, receivers at n2.
 A shared drop-tail queue feeds the n1->n2 wireless link, the only link
-that consults the loss model.  The reverse feedback path is lossless
-and lightly loaded (40-byte feedback), so it is modeled as a fixed latency.
+that consults the loss model.  The wired hop is computed when a packet is
+sent; a packet still on it at the horizon never reaches the queue.  The
+reverse feedback path is lossless and lightly loaded (40-byte feedback),
+so it is modeled as a fixed latency.
 """
 
 from collections import deque
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from .control import (CongestionController, LossEvent, TraceRecord,
                       estimate_rott)
 from .kernel import RngStream, Simulator
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario
 
 WIRED_BANDWIDTH_BPS = 2.0e6
 WIRED_DELAY_S = 0.100
@@ -27,89 +29,67 @@ MIN_RTO_S = 0.2
 DEFAULT_TIMEOUT_GRACE_S = 0.7
 
 
-@dataclass
-class LinkConfig:
-    bandwidth_bps: float
-    propagation_delay_s: float
-    loss_model: object = None
-
-    def __post_init__(self):
-        if self.bandwidth_bps <= 0:
-            raise ScenarioError("bandwidth_bps: must be positive")
-        if self.propagation_delay_s < 0:
-            raise ScenarioError("propagation_delay_s: must be >= 0")
+# what ForwardPath.send returns instead of a delivery time
+ON_WIRED_HOP = "wired"
+QUEUE_DROP = "queue"
+WIRELESS_DROP = "wireless"
 
 
-class FifoLink:
-    """Lossless FIFO link: serialization at fixed bandwidth plus propagation.
+class ForwardPath:
+    """The data path n0 -> n1 -> n2 that every sender shares.
 
-    Implemented as a busy-until server, so each packet costs one event.
+    The wired hop is a lossless FIFO busy-until server, so packets reach
+    the drop-tail queue at n1 in send order, at non-decreasing times.
+    Queue admission and the loss draw therefore run at send time, at the
+    computed arrival time, and still happen in arrival order.  Queue
+    occupancy counts packets waiting plus the one in service; arrivals to
+    a full queue are dropped (the congestion losses).  The loss model is
+    consulted once per admitted packet; a wireless drop still consumes
+    airtime but never arrives.
     """
 
-    def __init__(self, sim, config):
-        self.sim = sim
-        self.config = config
-        self.busy_until = 0.0
-
-    def transmit(self, size_bytes, deliver):
-        """Queue ``size_bytes`` for transmission; calls ``deliver()`` on arrival."""
-        cfg = self.config
-        start = max(self.sim.now, self.busy_until)
-        done = start + size_bytes * 8.0 / cfg.bandwidth_bps
-        self.busy_until = done
-        return self.sim.schedule_at(done + cfg.propagation_delay_s,
-                                    deliver, "link")
-
-
-class BottleneckLink:
-    """Drop-tail queue feeding the wireless n1->n2 link.
-
-    Occupancy counts packets waiting plus the one in service; arrivals to a
-    full queue are dropped (the congestion losses).  The loss model is
-    consulted once per packet in transmission order; a wireless drop still
-    consumes airtime but never arrives.
-    """
-
-    def __init__(self, sim, config, capacity, rng):
-        self.sim = sim
-        self.config = config
+    def __init__(self, capacity, loss_model, rng, horizon_s):
         self.capacity = capacity
+        self.loss_model = loss_model
         self.rng = rng
-        self._departures = deque()  # transmission-complete times, FIFO
-        self.queue_drop_log = []    # (time, flow_id, seq)
+        self.horizon_s = horizon_s
+        self.wired_busy_until = 0.0
+        self._departures = deque()  # wireless transmission-complete times
+        self.queue_drop_log = []    # (arrival time, flow_id, seq)
         self.loss_trace = []        # (packet_index, dropped, model_state)
-        self._index = 0
 
-    def occupancy(self, now):
+    def send(self, now, flow_id, seq, size_bytes):
+        """Send one packet from n0 at ``now``.
+
+        Returns its delivery time at n2, or ON_WIRED_HOP if it reaches n1
+        only after the horizon (then nothing else changes), or the cause
+        of its drop, QUEUE_DROP or WIRELESS_DROP.
+        """
+        start = max(now, self.wired_busy_until)
+        done = start + size_bytes * 8.0 / WIRED_BANDWIDTH_BPS
+        self.wired_busy_until = done
+        arrival = done + WIRED_DELAY_S
+        if arrival > self.horizon_s:
+            return ON_WIRED_HOP
         dep = self._departures
-        while dep and dep[0] <= now:
+        while dep and dep[0] <= arrival:
             dep.popleft()
-        return len(dep)
-
-    def transmit(self, flow_id, seq, size_bytes, deliver, on_queue_drop,
-                 on_wireless_drop):
-        now = self.sim.now
-        if self.occupancy(now) >= self.capacity:
-            self.queue_drop_log.append((now, flow_id, seq))
-            on_queue_drop()
-            return
-        dep = self._departures
-        start = dep[-1] if dep else now
-        if start < now:
-            start = now
-        done = start + size_bytes * 8.0 / self.config.bandwidth_bps
+        if len(dep) >= self.capacity:
+            self.queue_drop_log.append((arrival, flow_id, seq))
+            return QUEUE_DROP
+        # what is left departs after the arrival, so service starts when
+        # the last of it is done, or at the arrival if the queue is empty
+        start = dep[-1] if dep else arrival
+        done = start + size_bytes * 8.0 / WIRELESS_BANDWIDTH_BPS
         dep.append(done)
-        model = self.config.loss_model
+        model = self.loss_model
         if model is not None:
             dropped = model.should_drop(self.rng)
-            self.loss_trace.append((self._index, 1 if dropped else 0,
+            self.loss_trace.append((len(self.loss_trace), 1 if dropped else 0,
                                     model.state))
-            self._index += 1
             if dropped:
-                on_wireless_drop()
-                return
-        self.sim.schedule_at(done + self.config.propagation_delay_s,
-                             deliver, "wless")
+                return WIRELESS_DROP
+        return done + WIRELESS_DELAY_S
 
 
 @dataclass
@@ -133,13 +113,12 @@ class Sender:
     single congestion event when feedback dries up.
     """
 
-    def __init__(self, sim, flow_id, scenario, wired_link, bottleneck,
-                 receiver_delay_s, start_time):
+    def __init__(self, sim, flow_id, scenario, path, receiver_delay_s,
+                 start_time):
         self.sim = sim
         self.flow_id = flow_id
         self.scenario = scenario
-        self.wired_link = wired_link
-        self.bottleneck = bottleneck
+        self.path = path
         self.receiver_delay_s = receiver_delay_s
         self.ctrl = CongestionController(
             policy=scenario.policy, alpha=scenario.alpha,
@@ -180,22 +159,15 @@ class Sender:
                 self.last_progress = now
                 self._arm_timer()
             self.stats.sent += 1
-            sent_at = now
-            self.wired_link.transmit(
-                self.scenario.packet_size_bytes,
-                lambda s=seq, t=sent_at: self._arrive_bottleneck(s, t))
-
-    def _arrive_bottleneck(self, seq, sent_at):
-        self.bottleneck.transmit(
-            self.flow_id, seq, self.scenario.packet_size_bytes,
-            lambda s=seq, t=sent_at: self._deliver(s, t),
-            self._queue_drop, self._wireless_drop)
-
-    def _queue_drop(self):
-        self.stats.queue_drops += 1
-
-    def _wireless_drop(self):
-        self.stats.wireless_drops += 1
+            outcome = self.path.send(now, self.flow_id, seq,
+                                     self.scenario.packet_size_bytes)
+            if outcome is QUEUE_DROP:
+                self.stats.queue_drops += 1
+            elif outcome is WIRELESS_DROP:
+                self.stats.wireless_drops += 1
+            elif outcome is not ON_WIRED_HOP:
+                self.sim.schedule_at(
+                    outcome, lambda s=seq, t=now: self._deliver(s, t), "wless")
 
     def _deliver(self, seq, sent_at):
         # receiver side: record delivery, echo feedback after the fixed
@@ -234,15 +206,13 @@ class Sender:
         if lost:
             for s in lost:
                 del out[s]
-            self._emit_loss_events(lost, rott_i, forced=False)
+            self._emit_loss_events(lost, rott_i)
         self.last_progress = now
         self._arm_timer()
         self.try_send()
 
-    def _emit_loss_events(self, lost_seqs, rott_i, forced):
+    def _emit_loss_events(self, lost_seqs, rott_i):
         """Group contiguous sequence numbers into loss events and apply them."""
-        ctrl = self.ctrl
-        est = ctrl.estimator
         run_start = lost_seqs[0]
         prev = lost_seqs[0]
         runs = []
@@ -253,13 +223,18 @@ class Sender:
             runs.append(prev - run_start + 1)
             run_start = prev = s
         runs.append(prev - run_start + 1)
-        now = self.sim.now
         for n in runs:
-            event = LossEvent(n=n, rott_at_detection=rott_i)
-            cls = ctrl.on_loss_event(event, forced_congestion=forced)
-            self.trace.append(TraceRecord(now, self.flow_id, ctrl.cwnd,
-                                          ctrl.phase, "loss", cls, n, rott_i,
-                                          est.mean, est.dev))
+            self._apply_loss_event(n, rott_i, forced=False)
+
+    def _apply_loss_event(self, n, rott_i, forced):
+        """Apply one loss event of ``n`` packets and trace it."""
+        ctrl = self.ctrl
+        est = ctrl.estimator
+        cls = ctrl.on_loss_event(LossEvent(n=n, rott_at_detection=rott_i),
+                                 forced_congestion=forced)
+        self.trace.append(TraceRecord(self.sim.now, self.flow_id, ctrl.cwnd,
+                                      ctrl.phase, "loss", cls, n, rott_i,
+                                      est.mean, est.dev))
 
     # -- timeout fallback ----------------------------------------------
 
@@ -293,19 +268,10 @@ class Sender:
             rott_i = est.mean if est.sample_count else 0.0
             # a silent window implies everything in it died: one event,
             # forced congestion
-            self._emit_timeout_event(len(stale), rott_i)
+            self._apply_loss_event(len(stale), rott_i, forced=True)
             self.last_progress = now
         self._arm_timer()
         self.try_send()
-
-    def _emit_timeout_event(self, n, rott_i):
-        ctrl = self.ctrl
-        est = ctrl.estimator
-        event = LossEvent(n=n, rott_at_detection=rott_i)
-        cls = ctrl.on_loss_event(event, forced_congestion=True)
-        self.trace.append(TraceRecord(self.sim.now, self.flow_id, ctrl.cwnd,
-                                      ctrl.phase, "loss", cls, n, rott_i,
-                                      est.mean, est.dev))
 
 
 @dataclass
@@ -344,19 +310,14 @@ class Network:
                                  + WIRELESS_DELAY_S
                                  + fb_ser / WIRED_BANDWIDTH_BPS
                                  + WIRED_DELAY_S)
-        self.wired_link = FifoLink(
-            self.sim, LinkConfig(WIRED_BANDWIDTH_BPS, WIRED_DELAY_S))
-        self.bottleneck = BottleneckLink(
-            self.sim,
-            LinkConfig(WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
-                       scenario.loss.build()),
-            scenario.queue_capacity_pkts,
-            self.rng.substream("loss"))
+        self.path = ForwardPath(scenario.queue_capacity_pkts,
+                                scenario.loss.build(),
+                                self.rng.substream("loss"),
+                                scenario.duration_s)
         self.senders = []
         for i in range(scenario.flow_count):
             start = self.rng.substream(f"start/flow{i}").random()
-            self.senders.append(Sender(self.sim, i, scenario,
-                                       self.wired_link, self.bottleneck,
+            self.senders.append(Sender(self.sim, i, scenario, self.path,
                                        self.receiver_delay_s, start))
 
     def run(self):
@@ -366,8 +327,8 @@ class Network:
             flows=[s.stats for s in self.senders],
             controllers=[s.ctrl for s in self.senders],
             traces=[s.trace for s in self.senders],
-            loss_trace=self.bottleneck.loss_trace,
-            queue_drop_log=self.bottleneck.queue_drop_log,
+            loss_trace=self.path.loss_trace,
+            queue_drop_log=self.path.queue_drop_log,
             events_dispatched=self.sim.dispatched,
         )
 

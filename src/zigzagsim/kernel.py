@@ -26,9 +26,9 @@ class Simulator:
     def schedule_at(self, fire_at, action, tag=""):
         """Schedule ``action()`` at virtual time ``fire_at``.
 
-        Scheduling in the past raises PastTimeError.
+        Scheduling in the past, or at NaN, raises PastTimeError.
         """
-        if fire_at < self.now:
+        if not fire_at >= self.now:
             raise PastTimeError(
                 f"cannot schedule at t={fire_at} (clock is {self.now})")
         heapq.heappush(self._queue, (fire_at, self._seq, action, tag))

@@ -1,7 +1,7 @@
 """Scenario description and its flat key-value file format."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import loss as loss_models
 from .control import DEFAULT_ALPHA, INITIAL_SSTHRESH
@@ -105,11 +105,8 @@ class Scenario:
 
     def key(self):
         """Scenario identity minus policy; paired runs must agree on this."""
-        return (self.flow_count, self.aggregate_rate_bps, self.loss,
-                self.duration_s, self.seed, self.queue_capacity_pkts,
-                self.packet_size_bytes, self.feedback_size_bytes,
-                self.alpha, self.warmup_s, self.strict_n4,
-                self.initial_ssthresh_pkts)
+        return tuple(getattr(self, f.name) for f in fields(self)
+                     if f.name != "policy")
 
 
 def _strict_bool(text):
@@ -166,16 +163,16 @@ def convert(key, text, converters=CONVERTERS):
 
 def parse_scenario_text(text):
     """Parse the flat ``key = value`` scenario format ('#' starts a comment)."""
-    fields = {}
+    values = {}
     loss_fields = {}
     for key, value in read_pairs(text):
         if key.startswith("loss."):
             loss_fields[key.removeprefix("loss.")] = convert(key, value)
         else:
-            fields[key] = convert(key, value)
+            values[key] = convert(key, value)
     if loss_fields:
-        fields["loss"] = LossSpec(**loss_fields)
-    return Scenario(**fields).validate()
+        values["loss"] = LossSpec(**loss_fields)
+    return Scenario(**values).validate()
 
 
 def load_scenario(path):

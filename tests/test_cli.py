@@ -158,6 +158,19 @@ class TestMatrix:
                                                  loss=loss))
         assert cli.expand_matrix(cli.load_matrix_spec(None)) == expected
 
+    def test_run_tags_unchanged(self):
+        # the digest hashes repr(Scenario.key()): every field but policy,
+        # in field order, so that earlier campaigns keep their file names
+        assert Scenario().key() == (1, 1.0e6, LossSpec(), 500.0, 1, 50, 1000,
+                                    40, 0.125, 100.0, False, 50.0)
+        assert cli._run_tag(Scenario()) \
+            == "none_plr0.000pct_1f_1Mbps_6eadbf39_seed1_baseline"
+        sc = Scenario(flow_count=10, aggregate_rate_bps=1.5e6,
+                      loss=LossSpec("gilbert", p=0.01, q=0.5), seed=3,
+                      policy="zigzag")
+        assert cli._run_tag(sc) \
+            == "gilbert_plr1.961pct_10f_1.5Mbps_c3bf86b2_seed3_zigzag"
+
     def test_any_scenario_key_is_an_axis(self, tmp_path):
         # two couples with equal p/(p+q) and two queue sizes: four pairs
         # whose artefacts must not overwrite one another

@@ -1,101 +1,105 @@
 import pytest
 
 from zigzagsim import metrics
-from zigzagsim.harness import (WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
-                               BottleneckLink, FifoLink, LinkConfig, Network,
-                               Sender, run_scenario)
+from zigzagsim.harness import (ON_WIRED_HOP, QUEUE_DROP, WIRED_BANDWIDTH_BPS,
+                               WIRED_DELAY_S, WIRELESS_BANDWIDTH_BPS,
+                               WIRELESS_DELAY_S, WIRELESS_DROP, ForwardPath,
+                               Network, Sender, run_scenario)
 from zigzagsim.kernel import RngStream, Simulator
-from zigzagsim.loss import UniformLossModel
+from zigzagsim.loss import GilbertElliottModel, UniformLossModel
 from zigzagsim.scenario import LossSpec, Scenario, ScenarioError
 
+WIRED_SER_S = 8000 / WIRED_BANDWIDTH_BPS
+WIRELESS_SER_S = 8000 / WIRELESS_BANDWIDTH_BPS
 
-def wireless_config(loss_model=None):
-    return LinkConfig(WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
-                      loss_model=loss_model)
+
+def make_path(capacity=10, loss_model=None, horizon_s=5.0):
+    return ForwardPath(capacity, loss_model, RngStream(1).substream("loss"),
+                       horizon_s)
 
 
 class TestFifoLink:
+    """The wired hop n0 -> n1: serialization at 2 Mb/s plus propagation."""
+
     def test_serialization_plus_propagation(self):
-        sim = Simulator()
-        link = FifoLink(sim, wireless_config())
-        arrivals = []
-        link.transmit(1000, lambda: arrivals.append(sim.now))
-        sim.run_until(1.0)
-        assert arrivals == [pytest.approx(0.2 + 8000 / 1.3e6)]
+        path = make_path()
+        delivered_at = path.send(0.0, 0, 0, 1000)
+        assert path.wired_busy_until == pytest.approx(WIRED_SER_S)
+        at_queue = WIRED_SER_S + WIRED_DELAY_S
+        assert delivered_at == pytest.approx(
+            at_queue + WIRELESS_SER_S + WIRELESS_DELAY_S)
 
     def test_back_to_back_fifo(self):
-        sim = Simulator()
-        link = FifoLink(sim, wireless_config())
-        arrivals = []
-        link.transmit(1000, lambda: arrivals.append("a"))
-        link.transmit(1000, lambda: arrivals.append("b"))
-        sim.run_until(1.0)
-        assert arrivals == ["a", "b"]
-        # second packet waits for the first to serialize
-        assert link.busy_until == pytest.approx(2 * 8000 / 1.3e6)
-
-    def test_invalid_config(self):
-        with pytest.raises(ScenarioError):
-            LinkConfig(0.0, 0.1)
-        with pytest.raises(ScenarioError):
-            LinkConfig(1e6, -0.1)
+        path = make_path()
+        a = path.send(0.0, 0, 0, 1000)
+        b = path.send(0.0, 1, 0, 1000)
+        # the second packet waits for the first to serialize on the wired
+        # hop, then for it to leave the slower wireless hop
+        assert path.wired_busy_until == pytest.approx(2 * WIRED_SER_S)
+        assert b == pytest.approx(a + WIRELESS_SER_S)
 
 
 class TestBottleneckLink:
-    def make(self, sim, capacity=2, loss_model=None):
-        return BottleneckLink(sim, wireless_config(loss_model), capacity,
-                              RngStream(1).substream("loss"))
+    """Drop-tail admission and the loss draw at the packet's arrival at n1."""
 
     def test_full_queue_drops_arrival(self):
-        sim = Simulator()
-        link = self.make(sim, capacity=2)
-        outcomes = []
-        for i in range(3):
-            link.transmit(0, i, 1000,
-                          lambda i=i: outcomes.append(("deliver", i)),
-                          lambda i=i: outcomes.append(("qdrop", i)),
-                          lambda i=i: outcomes.append(("wdrop", i)))
-        sim.run_until(5.0)
-        assert ("qdrop", 2) in outcomes
-        assert outcomes.count(("qdrop", 2)) == 1
-        assert [o for o in outcomes if o[0] == "deliver"] \
-            == [("deliver", 0), ("deliver", 1)]
-        assert link.queue_drop_log[0][1:] == (0, 2)
+        path = make_path(capacity=2)
+        outcomes = [path.send(0.0, i % 2, i, 1000) for i in range(4)]
+        # arrivals every 4 ms, departures every 6.15 ms: the fourth arrival
+        # finds two packets in the queue
+        assert all(isinstance(t, float) for t in outcomes[:3])
+        assert outcomes[3] is QUEUE_DROP
+        assert len(path.queue_drop_log) == 1
+        when, flow_id, seq = path.queue_drop_log[0]
+        assert when == pytest.approx(4 * WIRED_SER_S + WIRED_DELAY_S)
+        assert (flow_id, seq) == (1, 3)
+        assert len(path.loss_trace) == 0
 
     def test_bad_state_packet_never_delivered(self):
-        sim = Simulator()
-        link = self.make(sim, capacity=10, loss_model=UniformLossModel(1.0))
-        outcomes = []
-        link.transmit(0, 0, 1000, lambda: outcomes.append("deliver"),
-                      lambda: outcomes.append("qdrop"),
-                      lambda: outcomes.append("wdrop"))
-        sim.run_until(5.0)
-        assert outcomes == ["wdrop"]
-        assert link.loss_trace == [(0, 1, "good")]
+        path = make_path(loss_model=UniformLossModel(1.0))
+        assert path.send(0.0, 0, 0, 1000) is WIRELESS_DROP
+        assert path.loss_trace == [(0, 1, "good")]
 
     def test_loss_trace_indexes_every_transmitted_packet(self):
+        path = make_path(capacity=2, loss_model=UniformLossModel(0.0))
+        outcomes = [path.send(0.0, 0, i, 1000) for i in range(5)]
+        admitted = [o for o in outcomes if o is not QUEUE_DROP]
+        assert len(admitted) == 4
+        assert [e[0] for e in path.loss_trace] == [0, 1, 2, 3]
+        assert all(e[1] == 0 for e in path.loss_trace)
+
+    def test_arrival_after_horizon_makes_no_draw(self):
+        # a sender's first packets reach n1 at 0.104 s and later, after the
+        # 0.05 s horizon: they are sent, but make no draw and no drop count
+        sc = Scenario(loss=LossSpec("uniform", plr=1.0))
         sim = Simulator()
-        link = self.make(sim, capacity=10, loss_model=UniformLossModel(0.0))
-        for i in range(4):
-            link.transmit(0, i, 1000, lambda: None, lambda: None,
-                          lambda: None)
-        sim.run_until(5.0)
-        assert [e[0] for e in link.loss_trace] == [0, 1, 2, 3]
-        assert all(e[1] == 0 for e in link.loss_trace)
+        path = ForwardPath(sc.queue_capacity_pkts, sc.loss.build(),
+                           RngStream(1).substream("loss"), horizon_s=0.05)
+        sender = Sender(sim, 0, sc, path, 0.5, start_time=0.0)
+        sim.run_until(0.05)
+        assert sender.stats.sent > 0
+        assert sender.stats.queue_drops == sender.stats.wireless_drops == 0
+        assert path.loss_trace == [] and path.queue_drop_log == []
+        assert path.send(0.05, 0, 99, 1000) is ON_WIRED_HOP
+        # an arrival exactly at the horizon is still admitted
+        on_time = make_path(loss_model=UniformLossModel(1.0),
+                            horizon_s=WIRED_SER_S + WIRED_DELAY_S)
+        assert on_time.send(0.0, 0, 0, 1000) is WIRELESS_DROP
 
 
 class TestTopologyBuild:
     def test_default_scenario_builds(self):
         net = Network(Scenario())
         assert len(net.senders) == 1
-        assert net.bottleneck.config.bandwidth_bps == pytest.approx(1.3e6)
-        assert net.bottleneck.config.loss_model is None
+        assert net.path.capacity == 50
+        assert net.path.horizon_s == 500.0
+        assert net.path.loss_model is None
 
     def test_loss_model_attached_to_wireless_only(self):
-        sc = Scenario(loss=LossSpec("gilbert", p=0.01, q=0.5))
+        sc = Scenario(flow_count=3, loss=LossSpec("gilbert", p=0.01, q=0.5))
         net = Network(sc)
-        assert net.bottleneck.config.loss_model is not None
-        assert net.wired_link.config.loss_model is None
+        assert isinstance(net.path.loss_model, GilbertElliottModel)
+        assert all(s.path is net.path for s in net.senders)
 
     def test_invalid_scenarios_rejected_with_field_name(self):
         with pytest.raises(ScenarioError, match="flow_count"):

@@ -35,6 +35,10 @@ def test_schedule_in_past_rejected():
     sim.run_until(5.0)
     with pytest.raises(PastTimeError):
         sim.schedule_at(4.0, lambda: None)
+    # NaN compares false with everything, so it must not slip past the
+    # check and stall the heap
+    with pytest.raises(PastTimeError):
+        sim.schedule_at(float("nan"), lambda: None)
 
 
 def test_run_until_empty_queue_advances_clock():
