@@ -107,10 +107,13 @@ class Sender:
     """One flow: CBR offered load, window gating, feedback-driven loss detection.
 
     Generated packets wait in an unbounded application buffer until the
-    congestion window admits them.  A sequence number is declared lost once
+    congestion window admits them.  The buffer is filled from the clock
+    when the sender acts, so CBR instants cost an event only while the
+    window has room.  A sequence number is declared lost once
     DUP_THRESHOLD later packets have been reported delivered; contiguous
-    losses form one loss event.  A timer declares everything stale as a
-    single congestion event when feedback dries up.
+    losses form one loss event.  A timer, one pending event per flow,
+    declares everything stale as a single congestion event when feedback
+    dries up.
     """
 
     def __init__(self, sim, flow_id, scenario, path, receiver_delay_s,
@@ -130,17 +133,35 @@ class Sender:
         self.next_seq = 0
         self.outstanding = {}  # seq -> [sent_at, dup_count], insertion = seq order
         self.last_progress = 0.0
+        self._deadline = None    # timeout time; None while nothing is out
+        self._timer_at = None    # fire time of the pending rto event
         self._timer_epoch = 0
         self._gen_interval = scenario.packet_size_bytes * 8.0 \
             / scenario.per_flow_rate_bps
-        sim.schedule_at(start_time, self._generate, "gen")
+        self._next_gen = start_time  # first CBR instant not yet generated
+        self._wakeup_pending = True
+        sim.schedule_at(start_time, self._wakeup, "gen")
 
     # -- application ---------------------------------------------------
 
-    def _generate(self):
-        self.backlog += 1
-        self.stats.generated += 1
-        self.sim.schedule(self._gen_interval, self._generate, "gen")
+    def generate_until(self, now):
+        """Add every CBR instant up to ``now`` to the backlog.
+
+        The instants are the start time plus the interval, added once per
+        packet, so they are the times a per-packet event chain would fire.
+        """
+        t = self._next_gen
+        n = 0
+        while t <= now:
+            n += 1
+            t += self._gen_interval
+        self._next_gen = t
+        self.backlog += n
+        self.stats.generated += n
+
+    def _wakeup(self):
+        self._wakeup_pending = False
+        self.generate_until(self.sim.now)
         self.try_send()
 
     # -- transmission --------------------------------------------------
@@ -168,6 +189,12 @@ class Sender:
             elif outcome is not ON_WIRED_HOP:
                 self.sim.schedule_at(
                     outcome, lambda s=seq, t=now: self._deliver(s, t), "wless")
+        # a full window opens only in on_feedback or _on_timeout, which
+        # generate and send first, so only a window with room needs a
+        # wakeup at the next CBR instant
+        if not self._wakeup_pending and len(out) < ctrl.allowed_in_flight():
+            self._wakeup_pending = True
+            self.sim.schedule_at(self._next_gen, self._wakeup, "gen")
 
     def _deliver(self, seq, sent_at):
         # receiver side: record delivery, echo feedback after the fixed
@@ -182,6 +209,7 @@ class Sender:
 
     def on_feedback(self, seq, sent_at):
         now = self.sim.now
+        self.generate_until(now)
         ctrl = self.ctrl
         out = self.outstanding
         rtt = now - sent_at
@@ -246,17 +274,39 @@ class Sender:
         return max(4.0 * est.mean + 8.0 * est.dev, MIN_RTO_S)
 
     def _arm_timer(self):
-        self._timer_epoch += 1
-        if not self.outstanding:
-            return
-        epoch = self._timer_epoch
-        self.sim.schedule_at(self.last_progress + self._rto(),
-                             lambda e=epoch: self._on_timeout(e), "rto")
+        """Move the timeout to ``last_progress + _rto()``.
 
-    def _on_timeout(self, epoch):
-        if epoch != self._timer_epoch or not self.outstanding:
+        One rto event is pending at a time.  A later deadline waits for it
+        to fire and re-arm; an earlier one schedules a new event and voids
+        the pending one by epoch.
+        """
+        if not self.outstanding:
+            self._deadline = None
             return
+        self._deadline = deadline = self.last_progress + self._rto()
+        if self._timer_at is None or deadline < self._timer_at:
+            self._schedule_timer(deadline)
+
+    def _schedule_timer(self, at):
+        self._timer_epoch += 1
+        self._timer_at = at
+        self.sim.schedule_at(at, lambda e=self._timer_epoch: self._on_timer(e),
+                             "rto")
+
+    def _on_timer(self, epoch):
+        if epoch != self._timer_epoch:
+            return
+        self._timer_at = None
+        if self._deadline is None:
+            return
+        if self.sim.now < self._deadline:
+            self._schedule_timer(self._deadline)
+        else:
+            self._on_timeout()
+
+    def _on_timeout(self):
         now = self.sim.now
+        self.generate_until(now)
         est = self.ctrl.estimator
         grace = 2.0 * est.mean if est.sample_count else DEFAULT_TIMEOUT_GRACE_S
         stale = [s for s, rec in self.outstanding.items()
@@ -321,7 +371,10 @@ class Network:
                                        self.receiver_delay_s, start))
 
     def run(self):
-        self.sim.run_until(self.scenario.duration_s)
+        horizon = self.scenario.duration_s
+        self.sim.run_until(horizon)
+        for sender in self.senders:
+            sender.generate_until(horizon)
         return RunResult(
             scenario=self.scenario,
             flows=[s.stats for s in self.senders],

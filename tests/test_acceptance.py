@@ -5,6 +5,7 @@ terminal, bypassing capture) and then asserts, so a verbose run shows one
 verdict per criterion alongside the pytest outcome.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -58,6 +59,20 @@ def matrix():
     assert failures == []
     assert len(rows) == len(templates)
     return rows, elapsed
+
+
+# sha256 of the default campaign's summary.csv; every change that keeps
+# the simulation bit-identical keeps this file byte-identical
+DEFAULT_SUMMARY_SHA256 = ("e3cf3ad15b4c7b1228803c3af50e6144"
+                          "152c7150787b8f2d091549d42e1e9e33")
+
+
+def test_default_matrix_summary_pinned(matrix, tmp_path):
+    rows, _ = matrix
+    path = tmp_path / "summary.csv"
+    metrics.write_summary_csv(path, rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == DEFAULT_SUMMARY_SHA256
 
 
 class TestCriterion01GilbertStatistics:

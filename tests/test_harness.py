@@ -1,10 +1,15 @@
+import math
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zigzagsim import metrics
-from zigzagsim.harness import (ON_WIRED_HOP, QUEUE_DROP, WIRED_BANDWIDTH_BPS,
-                               WIRED_DELAY_S, WIRELESS_BANDWIDTH_BPS,
-                               WIRELESS_DELAY_S, WIRELESS_DROP, ForwardPath,
-                               Network, Sender, run_scenario)
+from zigzagsim.harness import (INITIAL_RTO_S, ON_WIRED_HOP, QUEUE_DROP,
+                               WIRED_BANDWIDTH_BPS, WIRED_DELAY_S,
+                               WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
+                               WIRELESS_DROP, ForwardPath, Network, Sender,
+                               run_scenario)
 from zigzagsim.kernel import RngStream, Simulator
 from zigzagsim.loss import GilbertElliottModel, UniformLossModel
 from zigzagsim.scenario import LossSpec, Scenario, ScenarioError
@@ -16,6 +21,46 @@ WIRELESS_SER_S = 8000 / WIRELESS_BANDWIDTH_BPS
 def make_path(capacity=10, loss_model=None, horizon_s=5.0):
     return ForwardPath(capacity, loss_model, RngStream(1).substream("loss"),
                        horizon_s)
+
+
+def cbr_instants(start, interval, until):
+    """CBR generation instants in [start, until], by repeated addition."""
+    instants = []
+    t = start
+    while t <= until:
+        instants.append(t)
+        t += interval
+    return instants
+
+
+def recount_generated(scenario, flow_id):
+    """Packets flow ``flow_id`` of a run generates by its horizon."""
+    start = RngStream(scenario.seed).substream(f"start/flow{flow_id}").random()
+    interval = scenario.packet_size_bytes * 8.0 / scenario.per_flow_rate_bps
+    return len(cbr_instants(start, interval, scenario.duration_s))
+
+
+def lone_sender(scenario, start_time=0.0):
+    """One sender on its own path, with its simulator logging events."""
+    sim = Simulator(log_events=True)
+    path = ForwardPath(scenario.queue_capacity_pkts, scenario.loss.build(),
+                       RngStream(1).substream("loss"), scenario.duration_s)
+    return sim, Sender(sim, 0, scenario, path, 0.5, start_time)
+
+
+def silent_sender(start_time=0.0):
+    """A sender whose every packet the wireless hop drops, so no feedback
+    ever returns and its window stays full."""
+    return lone_sender(Scenario(loss=LossSpec("uniform", plr=1.0)),
+                       start_time)
+
+
+def fired(sim, tag):
+    return [entry[0] for entry in sim.event_log if entry[2] == tag]
+
+
+def timeout_times(sender):
+    return [r.t for r in sender.trace if r.event_type == "loss"]
 
 
 class TestFifoLink:
@@ -85,6 +130,103 @@ class TestBottleneckLink:
         on_time = make_path(loss_model=UniformLossModel(1.0),
                             horizon_s=WIRED_SER_S + WIRED_DELAY_S)
         assert on_time.send(0.0, 0, 0, 1000) is WIRELESS_DROP
+
+
+class TestLazyTimer:
+    """One pending rto event per flow, re-armed at the current deadline."""
+
+    def test_later_deadline_costs_one_rearm(self):
+        sim, sender = silent_sender()
+        sim.run_until(0.0)
+        for k in range(1, 11):
+            sim.run_until(0.1 * k)
+            sender.last_progress = sim.now
+            sender._arm_timer()
+        deadline = sender.last_progress + INITIAL_RTO_S
+        sim.run_until(deadline - 0.01)
+        # ten later deadlines: the event armed at 0 fired once and re-armed
+        assert fired(sim, "rto") == [INITIAL_RTO_S]
+        assert sender.stats.timeouts == 0
+        sim.run_until(deadline)
+        assert fired(sim, "rto") == [INITIAL_RTO_S, deadline]
+        assert timeout_times(sender) == [deadline]
+
+    def test_earlier_deadline_fires_at_the_earlier_time(self):
+        sim, sender = silent_sender()
+        sim.run_until(0.1)
+        rtos = iter([1.0])
+        sender._rto = lambda: next(rtos, INITIAL_RTO_S)
+        sender.last_progress = sim.now
+        sender._arm_timer()
+        early = 0.1 + 1.0
+        sim.run_until(early)
+        assert fired(sim, "rto") == [early]
+        assert timeout_times(sender) == [early]
+        # the superseded event at 3.0 still fires, and does nothing
+        sim.run_until(early + INITIAL_RTO_S)
+        assert fired(sim, "rto") == [early, INITIAL_RTO_S, early + INITIAL_RTO_S]
+        assert timeout_times(sender) == [early, early + INITIAL_RTO_S]
+
+    def test_silent_flow_times_out_at_its_last_deadline(self):
+        sim, sender = silent_sender(start_time=0.25)
+        arms = []
+        arm = sender._arm_timer
+
+        def record():
+            if sender.outstanding:
+                arms.append((sim.now, sender.last_progress + sender._rto()))
+            arm()
+
+        sender._arm_timer = record
+        sim.run_until(20.0)
+        timeouts = timeout_times(sender)
+        assert len(timeouts) == sender.stats.timeouts >= 5
+        for t in timeouts:
+            assert t == [d for at, d in arms if at < t][-1]
+        # every rto event of a silent flow is a timeout
+        assert fired(sim, "rto") == timeouts
+
+
+class TestLazySource:
+    """CBR instants are counted from the clock; a wakeup is scheduled only
+    while the window has room."""
+
+    def test_packet_leaves_at_its_generation_instant(self):
+        sc = Scenario(aggregate_rate_bps=2.0e5, duration_s=20.0)
+        sim, sender = lone_sender(sc, start_time=0.3)
+        sender.ctrl.cwnd = 100.0
+        sent_at = []
+        send = sender.path.send
+
+        def record(now, *args):
+            sent_at.append(now)
+            return send(now, *args)
+
+        sender.path.send = record
+        sim.run_until(sc.duration_s)
+        sender.generate_until(sc.duration_s)
+        instants = cbr_instants(0.3, 8000 / 2.0e5, sc.duration_s)
+        assert sent_at == instants
+        assert sender.stats.generated == len(instants)
+
+    def test_full_window_schedules_no_gen_event(self):
+        sim, sender = silent_sender()
+        sim.run_until(INITIAL_RTO_S - 0.1)
+        # the first two instants filled the two-packet window; none since
+        assert fired(sim, "gen") == [0.0, 0.0 + 8000 / 1.0e6]
+        assert sender.stats.sent == 2
+        assert not any(entry[3] == "gen" for entry in sim._queue)
+        sender.generate_until(sim.now)
+        assert sender.stats.generated == sender.backlog + 2 \
+            == len(cbr_instants(0.0, 8000 / 1.0e6, sim.now))
+
+    def test_generated_at_horizon_matches_recount(self):
+        sc = short_scenario(flow_count=3, aggregate_rate_bps=1.5e6,
+                            duration_s=120.3,
+                            loss=LossSpec("gilbert", p=0.01, q=0.5))
+        result = run_scenario(sc)
+        assert [fs.generated for fs in result.flows] \
+            == [recount_generated(sc, i) for i in range(sc.flow_count)]
 
 
 class TestTopologyBuild:
@@ -209,3 +351,95 @@ class TestRunFlowSet:
         result = run_scenario(sc)
         assert result.wireless_events == 0
         assert result.congestion_events > 0
+
+
+# one value per field that Scenario.validate must reject, naming the field
+INVALID = {
+    "flow_count": (0, -1),
+    "aggregate_rate_bps": (0.0, -1.0e6, math.nan, math.inf),
+    "policy": ("cubic",),
+    "duration_s": (math.nan, math.inf, 0.0),
+    "warmup_s": (-1.0, math.nan),
+    "queue_capacity_pkts": (0,),
+    "packet_size_bytes": (0, -1000),
+    "feedback_size_bytes": (0, -40),
+    "alpha": (0.0, 0.5, math.nan),
+    "initial_ssthresh_pkts": (1.0, math.nan),
+    "loss.kind": ("bursty",),
+    "loss.p": (-0.1, 1.5, math.nan),
+    "loss.q": (0.0, 1.5),
+    "loss.plr": (-0.1, 1.1, math.nan),
+}
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """A short scenario, and the one field made invalid or None."""
+    broken = draw(st.none() | st.sampled_from(sorted(INVALID)))
+    duration = draw(st.floats(0.5, 20.0))
+    fields = dict(
+        flow_count=draw(st.integers(1, 5)),
+        aggregate_rate_bps=draw(st.floats(1.0e4, 3.0e6)),
+        policy="baseline",
+        duration_s=duration,
+        warmup_s=duration * draw(st.floats(0.0, 0.9)),
+        seed=draw(st.integers(0, 2 ** 32)),
+        queue_capacity_pkts=draw(st.integers(1, 60)),
+        packet_size_bytes=draw(st.integers(200, 1500)),
+        feedback_size_bytes=draw(st.integers(1, 100)),
+        alpha=draw(st.floats(0.01, 0.49)),
+        strict_n4=draw(st.booleans()),
+        initial_ssthresh_pkts=draw(st.floats(2.0, 100.0)))
+    loss = dict(kind=draw(st.sampled_from(["gilbert", "uniform", "none"])),
+                p=draw(st.floats(0.0, 1.0)), q=draw(st.floats(0.01, 1.0)),
+                plr=draw(st.floats(0.0, 1.0)))
+    if broken is not None:
+        value = draw(st.sampled_from(INVALID[broken]))
+        if broken.startswith("loss."):
+            name = broken[len("loss."):]
+            loss[name] = value
+            if name != "kind":
+                loss["kind"] = "uniform" if name == "plr" else "gilbert"
+        else:
+            fields[broken] = value
+    return Scenario(loss=LossSpec(**loss), **fields), broken
+
+
+class TestScenarioFuzz:
+    """Every fuzzed scenario is rejected naming its broken field, or runs
+    as a pair that keeps the run invariants."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(fuzzed_scenarios())
+    def test_rejected_or_keeps_invariants(self, case):
+        sc, broken = case
+        if broken is not None:
+            with pytest.raises(ScenarioError, match=f"^{re.escape(broken)}:"):
+                run_scenario(sc)
+            return
+        pair = [run_scenario(sc.with_policy(p)) for p in ("baseline", "zigzag")]
+        for result in pair:
+            self.check_run(sc, result)
+        a, b = (result.loss_trace for result in pair)
+        n = min(len(a), len(b))
+        assert a[:n] == b[:n]
+
+    @staticmethod
+    def check_run(sc, result):
+        drop_flows = [flow_id for _, flow_id, _ in result.queue_drop_log]
+        for flow_id, fs in enumerate(result.flows):
+            assert fs.generated == recount_generated(sc, flow_id)
+            assert fs.generated >= fs.sent
+            assert result.in_flight_at_horizon(flow_id) >= 0
+            assert drop_flows.count(flow_id) == fs.queue_drops
+            times = fs.delivery_times
+            assert len(times) == fs.delivered
+            assert times == sorted(times)
+            assert all(0.0 < t <= sc.duration_s for t in times)
+        assert sum(fs.wireless_drops for fs in result.flows) \
+            == sum(dropped for _, dropped, _ in result.loss_trace)
+        for ctrl, trace in zip(result.controllers, result.traces):
+            assert ctrl.cwnd >= 1.0
+            assert all(r.cwnd >= 1.0 for r in trace)
+            times = [r.t for r in trace]
+            assert times == sorted(times)
