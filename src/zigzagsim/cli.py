@@ -201,9 +201,13 @@ def validate_loss_model(p, q, packet_count, seed, report=print):
     stats = loss_models.trace_statistics(drops)
     analytic_plr = loss_models.steady_state_plr(p, q) if p + q > 0 else 0.0
     analytic_burst = loss_models.mean_burst_length(q)
+    # a chain with no variance (p = 0, or p = q = 1) has no z-score
+    se = plr_standard_error(p, q, packet_count)
+    z = f"{(stats['plr'] - analytic_plr) / se:+.2f}" if se else "n/a"
     report(f"gilbert p={p} q={q} packets={packet_count} seed={seed}")
     report(f"  empirical PLR      {100 * stats['plr']:.4f}%")
     report(f"  analytic  PLR      {100 * analytic_plr:.4f}%  (p/(p+q))")
+    report(f"  PLR z-score        {z}  (standard errors from p/(p+q))")
     report(f"  empirical burst    {stats['mean_burst']:.4f}")
     report(f"  analytic  burst    {analytic_burst:.4f}  (1/q)")
     report(f"  P(drop|drop)       {stats['p_drop_given_drop']:.4f}  "

@@ -6,7 +6,8 @@ A shared drop-tail queue feeds the n1->n2 wireless link, the only link
 that consults the loss model.  The wired hop is computed when a packet is
 sent; a packet still on it at the horizon never reaches the queue.  The
 reverse feedback path is lossless and lightly loaded (40-byte feedback),
-so it is modeled as a fixed latency.
+so it is modeled as a fixed latency, and a packet's delivery and its
+feedback time are both known when it is sent.
 """
 
 from collections import deque
@@ -30,7 +31,7 @@ DEFAULT_TIMEOUT_GRACE_S = 0.7
 
 
 # what ForwardPath.send returns instead of a delivery time
-ON_WIRED_HOP = "wired"
+IN_FLIGHT = "in flight"
 QUEUE_DROP = "queue"
 WIRELESS_DROP = "wireless"
 
@@ -61,16 +62,17 @@ class ForwardPath:
     def send(self, now, flow_id, seq, size_bytes):
         """Send one packet from n0 at ``now``.
 
-        Returns its delivery time at n2, or ON_WIRED_HOP if it reaches n1
-        only after the horizon (then nothing else changes), or the cause
-        of its drop, QUEUE_DROP or WIRELESS_DROP.
+        Returns its delivery time at n2 if that is within the horizon, or
+        the cause of its drop, QUEUE_DROP or WIRELESS_DROP, or else
+        IN_FLIGHT.  A packet that reaches n1 only after the horizon
+        changes nothing else; one admitted in time is queued and drawn.
         """
         start = max(now, self.wired_busy_until)
         done = start + size_bytes * 8.0 / WIRED_BANDWIDTH_BPS
         self.wired_busy_until = done
         arrival = done + WIRED_DELAY_S
         if arrival > self.horizon_s:
-            return ON_WIRED_HOP
+            return IN_FLIGHT
         dep = self._departures
         while dep and dep[0] <= arrival:
             dep.popleft()
@@ -89,7 +91,8 @@ class ForwardPath:
                                     model.state))
             if dropped:
                 return WIRELESS_DROP
-        return done + WIRELESS_DELAY_S
+        delivery = done + WIRELESS_DELAY_S
+        return delivery if delivery <= self.horizon_s else IN_FLIGHT
 
 
 @dataclass
@@ -186,24 +189,20 @@ class Sender:
                 self.stats.queue_drops += 1
             elif outcome is WIRELESS_DROP:
                 self.stats.wireless_drops += 1
-            elif outcome is not ON_WIRED_HOP:
+            elif outcome is not IN_FLIGHT:
+                # the receiver: the packet is delivered, and its feedback
+                # returns after the fixed lossless reverse path
+                self.stats.delivered += 1
+                self.stats.delivery_times.append(outcome)
                 self.sim.schedule_at(
-                    outcome, lambda s=seq, t=now: self._deliver(s, t), "wless")
+                    outcome + self.receiver_delay_s,
+                    lambda s=seq, t=now: self.on_feedback(s, t), "fb")
         # a full window opens only in on_feedback or _on_timeout, which
         # generate and send first, so only a window with room needs a
         # wakeup at the next CBR instant
         if not self._wakeup_pending and len(out) < ctrl.allowed_in_flight():
             self._wakeup_pending = True
             self.sim.schedule_at(self._next_gen, self._wakeup, "gen")
-
-    def _deliver(self, seq, sent_at):
-        # receiver side: record delivery, echo feedback after the fixed
-        # lossless return path
-        self.stats.delivered += 1
-        self.stats.delivery_times.append(self.sim.now)
-        self.sim.schedule(self.receiver_delay_s,
-                          lambda s=seq, t=sent_at: self.on_feedback(s, t),
-                          "fb")
 
     # -- feedback processing -------------------------------------------
 
@@ -341,10 +340,6 @@ class RunResult:
     @property
     def wireless_events(self):
         return sum(c.wireless_events for c in self.controllers)
-
-    def in_flight_at_horizon(self, flow_id):
-        fs = self.flows[flow_id]
-        return fs.sent - fs.delivered - fs.queue_drops - fs.wireless_drops
 
 
 class Network:

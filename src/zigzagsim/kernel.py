@@ -34,10 +34,6 @@ class Simulator:
         heapq.heappush(self._queue, (fire_at, self._seq, action, tag))
         self._seq += 1
 
-    def schedule(self, delay, action, tag=""):
-        """Schedule ``action()`` after ``delay`` seconds of virtual time."""
-        return self.schedule_at(self.now + delay, action, tag)
-
     def run_until(self, t_end):
         """Dispatch every event with fire_at <= t_end; leave clock at t_end.
 

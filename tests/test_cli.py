@@ -211,6 +211,27 @@ class TestValidateLoss:
                           if "empirical burst" in l)
         assert float(burst_line.split()[-1]) == pytest.approx(2.0, rel=0.05)
 
+    def test_plr_z_score_reported(self, capsys):
+        # a FAIL verdict on a correct chain: the 5 % tolerance is under two
+        # standard errors of the PLR at p = 0.001, and the z-score shows it
+        assert cli.main(["validate-loss", "--p", "0.001", "--q", "0.6",
+                         "--n", "1000000", "--seed", "10"]) == 3
+        out = capsys.readouterr().out
+        z_line = next(l for l in out.splitlines() if "z-score" in l)
+        assert "empirical PLR" not in z_line and "analytic" not in z_line
+        plr_line = next(l for l in out.splitlines() if "empirical PLR" in l)
+        plr = float(plr_line.split()[-1].rstrip("%")) / 100
+        se = cli.plr_standard_error(0.001, 0.6, 10 ** 6)
+        z = float(z_line.split()[2])
+        # the printed PLR has 4 decimals of a percent, so z within 0.01
+        assert z == pytest.approx((plr - 0.001 / 0.601) / se, abs=0.01)
+        assert z == pytest.approx(1.87, abs=0.005)
+        assert "FAIL" in out
+        # a chain with no variance has no z-score
+        assert cli.main(["validate-loss", "--p", "0", "--q", "0.6",
+                         "--n", "100000"]) == 0
+        assert "z-score        n/a" in capsys.readouterr().out
+
     def test_small_sample_rejected(self):
         assert cli.main(["validate-loss", "--p", "0.01", "--q", "0.5",
                          "--n", "1000"]) == 1

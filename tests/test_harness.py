@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zigzagsim import metrics
-from zigzagsim.harness import (INITIAL_RTO_S, ON_WIRED_HOP, QUEUE_DROP,
+from zigzagsim.harness import (IN_FLIGHT, INITIAL_RTO_S, QUEUE_DROP,
                                WIRED_BANDWIDTH_BPS, WIRED_DELAY_S,
                                WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
                                WIRELESS_DROP, ForwardPath, Network, Sender,
@@ -53,6 +53,12 @@ def silent_sender(start_time=0.0):
     ever returns and its window stays full."""
     return lone_sender(Scenario(loss=LossSpec("uniform", plr=1.0)),
                        start_time)
+
+
+def in_flight_at_horizon(fs):
+    """Packets of a flow's stats that were sent but neither delivered
+    nor dropped by the horizon."""
+    return fs.sent - fs.delivered - fs.queue_drops - fs.wireless_drops
 
 
 def fired(sim, tag):
@@ -125,11 +131,29 @@ class TestBottleneckLink:
         assert sender.stats.sent > 0
         assert sender.stats.queue_drops == sender.stats.wireless_drops == 0
         assert path.loss_trace == [] and path.queue_drop_log == []
-        assert path.send(0.05, 0, 99, 1000) is ON_WIRED_HOP
+        assert path.send(0.05, 0, 99, 1000) is IN_FLIGHT
         # an arrival exactly at the horizon is still admitted
         on_time = make_path(loss_model=UniformLossModel(1.0),
                             horizon_s=WIRED_SER_S + WIRED_DELAY_S)
         assert on_time.send(0.0, 0, 0, 1000) is WIRELESS_DROP
+        # a packet admitted and drawn but reaching n2 after the horizon is
+        # in flight: the first packets reach n1 at 0.104 s and n2 at 0.310 s
+        # and later, after the 0.2 s horizon
+        drawn = make_path(loss_model=UniformLossModel(0.0), horizon_s=0.2)
+        assert drawn.send(0.0, 0, 0, 1000) is IN_FLIGHT
+        assert drawn.loss_trace == [(0, 0, "good")]
+        for horizon_s in (0.2, make_path().send(0.0, 0, 0, 1000)):
+            sim, sender = lone_sender(Scenario(
+                loss=LossSpec("uniform", plr=0.0), duration_s=horizon_s))
+            sim.run_until(horizon_s)
+            fs = sender.stats
+            assert fs.sent == len(sender.path.loss_trace) == 2
+            assert fs.queue_drops == fs.wireless_drops == 0
+            # a delivery exactly at the horizon still counts
+            on_time = [] if horizon_s == 0.2 else [horizon_s]
+            assert fs.delivery_times == on_time
+            assert fs.delivered == len(on_time)
+            assert in_flight_at_horizon(fs) == 2 - len(on_time)
 
 
 class TestLazyTimer:
@@ -266,7 +290,7 @@ class TestRunFlowSet:
                             loss=LossSpec("gilbert", p=0.01, q=0.5))
         result = run_scenario(sc)
         for flow_id, fs in enumerate(result.flows):
-            in_flight = result.in_flight_at_horizon(flow_id)
+            in_flight = in_flight_at_horizon(fs)
             assert fs.sent == fs.delivered + fs.wireless_drops \
                 + fs.queue_drops + in_flight
             assert 0 <= in_flight <= 200
@@ -297,24 +321,27 @@ class TestRunFlowSet:
                 <= WIRELESS_BANDWIDTH_BPS * interval + size_bits
             t += interval
 
-    def test_fifo_per_flow_delivery_order(self, monkeypatch):
-        delivered = {}
-        deliver = Sender._deliver
-
-        def record(sender, seq, sent_at):
-            delivered.setdefault(sender.flow_id, []).append(seq)
-            deliver(sender, seq, sent_at)
-
-        monkeypatch.setattr(Sender, "_deliver", record)
+    def test_fifo_per_flow_delivery_order(self):
         sc = short_scenario(flow_count=3, aggregate_rate_bps=1.5e6,
                             loss=LossSpec("gilbert", p=0.05, q=0.5))
-        result = run_scenario(sc)
+        net = Network(sc)
+        delivered = {}  # flow_id -> [(seq, delivery time)]
+        send = net.path.send
+
+        def record(now, flow_id, seq, size_bytes):
+            outcome = send(now, flow_id, seq, size_bytes)
+            if isinstance(outcome, float):
+                delivered.setdefault(flow_id, []).append((seq, outcome))
+            return outcome
+
+        net.path.send = record
+        result = net.run()
         assert sorted(delivered) == [0, 1, 2]
         for flow_id, fs in enumerate(result.flows):
-            seqs = delivered[flow_id]
+            seqs = [seq for seq, _ in delivered[flow_id]]
             assert len(seqs) == fs.delivered
-            assert seqs == sorted(seqs)
-            assert len(set(seqs)) == len(seqs)
+            assert all(a < b for a, b in zip(seqs, seqs[1:]))
+            assert [t for _, t in delivered[flow_id]] == fs.delivery_times
 
     def test_throughput_approaches_offered_rate_without_loss(self):
         sc = Scenario(flow_count=1, aggregate_rate_bps=1.0e6,
@@ -417,25 +444,31 @@ class TestScenarioFuzz:
             with pytest.raises(ScenarioError, match=f"^{re.escape(broken)}:"):
                 run_scenario(sc)
             return
-        pair = [run_scenario(sc.with_policy(p)) for p in ("baseline", "zigzag")]
-        for result in pair:
-            self.check_run(sc, result)
+        nets = [Network(sc.with_policy(p)) for p in ("baseline", "zigzag")]
+        pair = [net.run() for net in nets]
+        for net, result in zip(nets, pair):
+            self.check_run(sc, net, result)
         a, b = (result.loss_trace for result in pair)
         n = min(len(a), len(b))
         assert a[:n] == b[:n]
 
     @staticmethod
-    def check_run(sc, result):
+    def check_run(sc, net, result):
         drop_flows = [flow_id for _, flow_id, _ in result.queue_drop_log]
         for flow_id, fs in enumerate(result.flows):
             assert fs.generated == recount_generated(sc, flow_id)
             assert fs.generated >= fs.sent
-            assert result.in_flight_at_horizon(flow_id) >= 0
+            assert in_flight_at_horizon(fs) >= 0
             assert drop_flows.count(flow_id) == fs.queue_drops
             times = fs.delivery_times
             assert len(times) == fs.delivered
             assert times == sorted(times)
             assert all(0.0 < t <= sc.duration_s for t in times)
+            # each delivery is acknowledged after the fixed reverse path
+            acks = [r.t for r in result.traces[flow_id]
+                    if r.event_type == "ack"]
+            assert acks == [t + net.receiver_delay_s for t in times
+                            if t + net.receiver_delay_s <= sc.duration_s]
         assert sum(fs.wireless_drops for fs in result.flows) \
             == sum(dropped for _, dropped, _ in result.loss_trace)
         for ctrl, trace in zip(result.controllers, result.traces):
