@@ -157,7 +157,7 @@ def run_matrix(templates, out_dir, jobs=1):
     """Run every pair, return (rows in template order, failure messages)."""
     payloads = [(i, t, out_dir) for i, t in enumerate(templates)]
     if jobs > 1 and len(payloads) > 1:
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(payloads))) as pool:
             outcomes = pool.map(_pair_worker, payloads)
     else:
         outcomes = [_pair_worker(p) for p in payloads]
@@ -168,6 +168,9 @@ def run_matrix(templates, out_dir, jobs=1):
 
 
 def cmd_matrix(args):
+    if args.jobs < 1:
+        print(f"error: --jobs: must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         spec = load_matrix_spec(args.spec)
         templates = expand_matrix(spec)

@@ -8,7 +8,6 @@ relative one-way trip time (ROTT, approximated as RTT/2) against its
 exponential mean and deviation.
 """
 
-import math
 from dataclasses import dataclass
 
 BASELINE = "baseline"
@@ -141,23 +140,21 @@ class CongestionController:
         return SLOW_START if self.cwnd < self.ssthresh else CONGESTION_AVOIDANCE
 
     def allowed_in_flight(self):
-        """Window in whole packets; never below one."""
-        return max(1, math.floor(self.cwnd))
+        """Window in whole packets; cwnd never falls below MIN_SSTHRESH."""
+        return int(self.cwnd)
 
-    def on_ack(self, rtt, acked=1, window_limited=True):
-        """Process an acknowledgement of ``acked`` new packets.
+    def on_ack(self, rtt, window_limited=True):
+        """Process the acknowledgement of one new packet.
 
         The window only grows while the window is the binding constraint;
         an application-limited sender must not inflate cwnd.
         """
-        if acked < 1:
-            raise ValueError("acked must be >= 1")
         self.estimator.update(estimate_rott(rtt))
         if window_limited:
             if self.phase == SLOW_START:
-                self.cwnd += acked
+                self.cwnd += 1
             else:
-                self.cwnd += acked / self.cwnd
+                self.cwnd += 1 / self.cwnd
 
     def on_loss_event(self, event, forced_congestion=False):
         """React to one loss event; returns its class.
@@ -196,9 +193,6 @@ class TraceRecord:
     rott_i: float
     rott_mean: float
     rott_dev: float
-
-    FIELDS = ("t", "flow_id", "cwnd", "phase", "event_type",
-              "loss_class", "n", "rott_i", "rott_mean", "rott_dev")
 
     def as_row(self):
         return (f"{self.t:.9f}", str(self.flow_id), f"{self.cwnd:.6f}",

@@ -132,8 +132,6 @@ class Sender:
             ssthresh=scenario.initial_ssthresh_pkts)
         self.trace = []
         self.stats = FlowStats()
-        self.backlog = 0
-        self.next_seq = 0
         self.outstanding = {}  # seq -> [sent_at, dup_count], insertion = seq order
         self.last_progress = 0.0
         self._deadline = None    # timeout time; None while nothing is out
@@ -148,7 +146,7 @@ class Sender:
     # -- application ---------------------------------------------------
 
     def generate_until(self, now):
-        """Add every CBR instant up to ``now`` to the backlog.
+        """Count every CBR instant up to ``now`` as generated.
 
         The instants are the start time plus the interval, added once per
         packet, so they are the times a per-packet event chain would fire.
@@ -159,7 +157,6 @@ class Sender:
             n += 1
             t += self._gen_interval
         self._next_gen = t
-        self.backlog += n
         self.stats.generated += n
 
     def _wakeup(self):
@@ -170,37 +167,38 @@ class Sender:
     # -- transmission --------------------------------------------------
 
     def try_send(self):
-        ctrl = self.ctrl
+        stats = self.stats
         out = self.outstanding
-        while self.backlog > 0 and len(out) < ctrl.allowed_in_flight():
-            seq = self.next_seq
-            self.next_seq += 1
-            self.backlog -= 1
+        # cwnd cannot change while sending; the backlog is generated - sent,
+        # and the next seq is the count sent so far
+        window = self.ctrl.allowed_in_flight()
+        while stats.generated > stats.sent and len(out) < window:
+            seq = stats.sent
+            stats.sent += 1
             now = self.sim.now
             was_idle = not out
             out[seq] = [now, 0]
             if was_idle:
                 self.last_progress = now
                 self._arm_timer()
-            self.stats.sent += 1
             outcome = self.path.send(now, self.flow_id, seq,
                                      self.scenario.packet_size_bytes)
             if outcome is QUEUE_DROP:
-                self.stats.queue_drops += 1
+                stats.queue_drops += 1
             elif outcome is WIRELESS_DROP:
-                self.stats.wireless_drops += 1
+                stats.wireless_drops += 1
             elif outcome is not IN_FLIGHT:
                 # the receiver: the packet is delivered, and its feedback
                 # returns after the fixed lossless reverse path
-                self.stats.delivered += 1
-                self.stats.delivery_times.append(outcome)
+                stats.delivered += 1
+                stats.delivery_times.append(outcome)
                 self.sim.schedule_at(
                     outcome + self.receiver_delay_s,
                     lambda s=seq, t=now: self.on_feedback(s, t), "fb")
         # a full window opens only in on_feedback or _on_timeout, which
         # generate and send first, so only a window with room needs a
         # wakeup at the next CBR instant
-        if not self._wakeup_pending and len(out) < ctrl.allowed_in_flight():
+        if not self._wakeup_pending and len(out) < window:
             self._wakeup_pending = True
             self.sim.schedule_at(self._next_gen, self._wakeup, "gen")
 
@@ -214,9 +212,9 @@ class Sender:
         rtt = now - sent_at
         rott_i = estimate_rott(rtt)
         was_present = out.pop(seq, None) is not None
-        window_limited = self.backlog > 0 or \
+        window_limited = self.stats.generated > self.stats.sent or \
             len(out) + (1 if was_present else 0) + 1 >= ctrl.allowed_in_flight()
-        ctrl.on_ack(rtt, 1, window_limited)
+        ctrl.on_ack(rtt, window_limited)
         est = ctrl.estimator
         self.trace.append(TraceRecord(now, self.flow_id, ctrl.cwnd,
                                       ctrl.phase, "ack", "", 0, rott_i,

@@ -17,20 +17,19 @@ class GilbertElliottModel:
     """2-state Markov loss process: 0% PLR in Good, 100% PLR in Bad.
 
     p is the probability of leaving the good state, q the probability of
-    leaving the bad state.  On each packet the state transitions first,
-    then the packet is dropped iff the new state is Bad.
+    leaving the bad state.  The chain starts in Good.  On each packet the
+    state transitions first, then the packet is dropped iff the new state
+    is Bad.
     """
 
-    def __init__(self, p, q, initial_state=GOOD):
+    def __init__(self, p, q):
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"p must be in [0,1], got {p}")
         if not (0.0 <= q <= 1.0):
             raise ValueError(f"q must be in [0,1], got {q}")
-        if initial_state not in (GOOD, BAD):
-            raise ValueError(f"bad initial state {initial_state!r}")
         self.p = p
         self.q = q
-        self.state = initial_state
+        self.state = GOOD
 
     def should_drop(self, rng):
         """Advance one transition step and return True iff the packet is lost."""

@@ -3,7 +3,7 @@
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .control import TraceRecord
 from .harness import WIRELESS_BANDWIDTH_BPS
@@ -35,35 +35,27 @@ def throughput_increase_pct(zigzag_bps, baseline_bps):
     return 100.0 * (zigzag_bps - baseline_bps) / baseline_bps
 
 
-def bandwidth_utilization(mean_bps, offered_bps,
-                          bottleneck_bps=WIRELESS_BANDWIDTH_BPS):
-    """Percent of the achievable ceiling: min(offered, bottleneck)."""
-    ceiling = min(offered_bps, bottleneck_bps)
+def bandwidth_utilization(mean_bps, offered_bps):
+    """Percent of the achievable ceiling: min(offered, wireless bottleneck)."""
+    ceiling = min(offered_bps, WIRELESS_BANDWIDTH_BPS)
     return 100.0 * mean_bps / ceiling
 
 
-@dataclass
-class ThroughputSeries:
-    bucket_width_s: float
-    duration_s: float
-    per_flow: dict   # flow_id -> list of bits/s per bucket
-    aggregate: list  # bits/s per bucket
+BUCKET_S = 1.0  # width of one throughput-series bucket
 
 
-def throughput_series(result, bucket_width_s=1.0):
+def throughput_series(result):
+    """Delivered bits/s per BUCKET_S bucket, one list per flow."""
     sc = result.scenario
-    buckets = math.ceil(sc.duration_s / bucket_width_s)
-    size_bits = sc.packet_size_bytes * 8
-    per_flow = {}
-    aggregate = [0.0] * buckets
-    for flow_id, fs in enumerate(result.flows):
-        series = [0.0] * buckets
+    buckets = math.ceil(sc.duration_s / BUCKET_S)
+    bucket_bps = sc.packet_size_bytes * 8 / BUCKET_S
+    series = []
+    for fs in result.flows:
+        samples = [0.0] * buckets
         for t in fs.delivery_times:
-            idx = min(int(t / bucket_width_s), buckets - 1)
-            series[idx] += size_bits / bucket_width_s
-            aggregate[idx] += size_bits / bucket_width_s
-        per_flow[flow_id] = series
-    return ThroughputSeries(bucket_width_s, sc.duration_s, per_flow, aggregate)
+            samples[min(int(t / BUCKET_S), buckets - 1)] += bucket_bps
+        series.append(samples)
+    return series
 
 
 def controller_trace_hash(result):
@@ -114,15 +106,8 @@ class ExperimentResult:
     bw_utilization_zigzag_pct: float
     halve_violations: int = 0
 
-    FIELDS = ("flow_count", "loss_kind", "plr_pct", "aggregate_rate_bps",
-              "seed", "congestion_baseline", "congestion_zigzag",
-              "wireless_zigzag", "mean_throughput_baseline_bps",
-              "mean_throughput_zigzag_bps", "throughput_increase_pct",
-              "bw_utilization_baseline_pct", "bw_utilization_zigzag_pct",
-              "halve_violations")
-
     def as_row(self):
-        return [getattr(self, f) for f in self.FIELDS]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def count_halve_violations(result):
@@ -184,33 +169,24 @@ def write_series_csv(path, series):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t_bucket_start", "flow_id", "throughput_bps"])
-        for flow_id in sorted(series.per_flow):
-            samples = series.per_flow[flow_id]
+        for flow_id, samples in enumerate(series):
             for i, bps in enumerate(samples):
-                w.writerow([f"{i * series.bucket_width_s:.3f}", flow_id,
-                            f"{bps:.3f}"])
+                w.writerow([f"{i * BUCKET_S:.3f}", flow_id, f"{bps:.3f}"])
 
 
 def write_controller_trace_csv(path, result):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(TraceRecord.FIELDS)
+        w.writerow([f.name for f in fields(TraceRecord)])
         for trace in result.traces:
             for rec in trace:
                 w.writerow(rec.as_row())
 
 
-def write_loss_trace(path, result):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("packet_index\tdropped\tstate\n")
-        for index, dropped, state in result.loss_trace:
-            fh.write(f"{index}\t{dropped}\t{state}\n")
-
-
 def write_summary_csv(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(ExperimentResult.FIELDS)
+        w.writerow([f.name for f in fields(ExperimentResult)])
         for row in rows:
             w.writerow(row.as_row())
 

@@ -67,11 +67,10 @@ class Scenario:
     initial_ssthresh_pkts: float = INITIAL_SSTHRESH
 
     def validate(self):
-        for name in ("aggregate_rate_bps", "duration_s", "alpha", "warmup_s",
-                     "initial_ssthresh_pkts"):
-            if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(
-                    f"{name}: must be finite, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ScenarioError(f"{f.name}: must be finite, got {value}")
         if self.flow_count < 1:
             raise ScenarioError(f"flow_count: must be >= 1, got {self.flow_count}")
         if self.aggregate_rate_bps <= 0:
@@ -118,24 +117,13 @@ def _strict_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# one converter per key of the flat format; Scenario.validate checks ranges
+# one converter per key of the flat format, by field type;
+# Scenario.validate checks ranges
+_FROM_TYPE = {int: int, float: float, str: str, bool: _strict_bool}
 CONVERTERS = {
-    "flow_count": int,
-    "aggregate_rate_bps": float,
-    "policy": str,
-    "duration_s": float,
-    "seed": int,
-    "queue_capacity_pkts": int,
-    "packet_size_bytes": int,
-    "feedback_size_bytes": int,
-    "alpha": float,
-    "warmup_s": float,
-    "strict_n4": _strict_bool,
-    "initial_ssthresh_pkts": float,
-    "loss.kind": str,
-    "loss.p": float,
-    "loss.q": float,
-    "loss.plr": float,
+    **{f.name: _FROM_TYPE[f.type] for f in fields(Scenario)
+       if f.name != "loss"},
+    **{f"loss.{f.name}": _FROM_TYPE[f.type] for f in fields(LossSpec)},
 }
 
 

@@ -1,9 +1,11 @@
 import os
+from dataclasses import fields
 
 import pytest
 
 from zigzagsim import cli
-from zigzagsim.scenario import LossSpec, Scenario, parse_scenario_text
+from zigzagsim.scenario import (CONVERTERS, LossSpec, Scenario,
+                                parse_scenario_text)
 
 REFERENCE_CONFIG = """\
 flow_count = 1
@@ -92,6 +94,47 @@ class TestRun:
             assert sc.strict_n4 is value
 
 
+# a valid value other than the default for every key of the flat format
+NON_DEFAULT = {
+    "flow_count": 3,
+    "aggregate_rate_bps": 2.5e6,
+    "policy": "zigzag",
+    "duration_s": 250.5,
+    "seed": 7,
+    "queue_capacity_pkts": 20,
+    "packet_size_bytes": 500,
+    "feedback_size_bytes": 60,
+    "alpha": 0.25,
+    "warmup_s": 50.0,
+    "strict_n4": True,
+    "initial_ssthresh_pkts": 30.0,
+    "loss.kind": "uniform",
+    "loss.p": 0.02,
+    "loss.q": 0.4,
+    "loss.plr": 0.05,
+}
+
+
+class TestScenarioKeys:
+    def test_keys_are_the_fields(self):
+        expected = {f.name for f in fields(Scenario) if f.name != "loss"} \
+            | {f"loss.{f.name}" for f in fields(LossSpec)}
+        assert set(CONVERTERS) == expected == set(NON_DEFAULT)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_non_default_value_round_trips(self, key):
+        value = NON_DEFAULT[key]
+        is_loss = key.startswith("loss.")
+        name = key.removeprefix("loss.")
+
+        def read(sc):
+            return getattr(sc.loss if is_loss else sc, name)
+
+        assert read(Scenario()) != value
+        parsed = read(parse_scenario_text(f"{key} = {value}\n"))
+        assert parsed == value and type(parsed) is type(value)
+
+
 class TestMatrix:
     def test_tiny_matrix(self, tmp_path):
         spec = write(tmp_path / "matrix.cfg", TINY_MATRIX)
@@ -115,6 +158,38 @@ class TestMatrix:
                          "--jobs", "2"]) == 0
         assert (out1 / "summary.csv").read_bytes() \
             == (out2 / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch,
+                                     jobs):
+        monkeypatch.setattr(cli.multiprocessing, "Pool", None)
+        spec = write(tmp_path / "matrix.cfg", TINY_MATRIX)
+        assert cli.main(["matrix", "--spec", spec, "--out",
+                         str(tmp_path / "out"), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_pool_no_larger_than_the_pairs(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+        templates = [Scenario(duration_s=2.0, warmup_s=1.0, seed=seed)
+                     for seed in (1, 2)]
+        rows, failures = cli.run_matrix(templates, None, jobs=10_000)
+        assert sizes == [2]
+        assert len(rows) == 2 and failures == []
 
     def test_empty_matrix(self, tmp_path):
         spec = write(tmp_path / "matrix.cfg",

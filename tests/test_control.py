@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zigzagsim.control import (BASELINE, CONGESTION, WIRELESS, ZIGZAG,
-                               CongestionController, EstimatorNotReady,
-                               LossEvent, RottEstimator, classify_loss,
-                               estimate_rott)
+from zigzagsim.control import (BASELINE, CONGESTION, MIN_SSTHRESH,
+                               WIRELESS, ZIGZAG, CongestionController,
+                               EstimatorNotReady, LossEvent, RottEstimator,
+                               classify_loss, estimate_rott)
 
 
 class TestEstimateRott:
@@ -142,14 +142,28 @@ class TestClassifyLoss:
 class TestCongestionController:
     def test_slow_start_exponential_growth(self):
         ctrl = CongestionController(policy=BASELINE, cwnd=2.0, ssthresh=64.0)
-        ctrl.on_ack(rtt=0.6, acked=2)
-        assert ctrl.cwnd == pytest.approx(4.0)
+        for _ in range(2):
+            ctrl.on_ack(rtt=0.6)
+        assert ctrl.cwnd == 2.0 + 1 + 1
         assert ctrl.phase == "slow_start"
 
     def test_congestion_avoidance_additive_increase(self):
         ctrl = CongestionController(policy=BASELINE, cwnd=10.0, ssthresh=5.0)
-        ctrl.on_ack(rtt=0.6, acked=10)
-        assert ctrl.cwnd == pytest.approx(11.0)
+        expected = 10.0
+        for _ in range(10):
+            ctrl.on_ack(rtt=0.6)
+            expected += 1 / expected
+        assert ctrl.cwnd == expected
+        assert 10.9 < ctrl.cwnd < 11.0  # about one packet per window
+        assert ctrl.phase == "congestion_avoidance"
+
+    def test_growth_crosses_ssthresh(self):
+        ctrl = CongestionController(policy=BASELINE, cwnd=3.0, ssthresh=5.0)
+        expected = 3.0
+        for _ in range(6):
+            ctrl.on_ack(rtt=0.6)
+            expected += 1 if expected < 5.0 else 1 / expected
+            assert ctrl.cwnd == expected
         assert ctrl.phase == "congestion_avoidance"
 
     def test_ack_feeds_estimator(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zigzagsim import metrics
+from zigzagsim.control import MIN_SSTHRESH
 from zigzagsim.harness import (IN_FLIGHT, INITIAL_RTO_S, QUEUE_DROP,
                                WIRED_BANDWIDTH_BPS, WIRED_DELAY_S,
                                WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
@@ -241,8 +242,9 @@ class TestLazySource:
         assert sender.stats.sent == 2
         assert not any(entry[3] == "gen" for entry in sim._queue)
         sender.generate_until(sim.now)
-        assert sender.stats.generated == sender.backlog + 2 \
+        assert sender.stats.generated \
             == len(cbr_instants(0.0, 8000 / 1.0e6, sim.now))
+        assert sender.stats.sent == 2
 
     def test_generated_at_horizon_matches_recount(self):
         sc = short_scenario(flow_count=3, aggregate_rate_bps=1.5e6,
@@ -472,7 +474,8 @@ class TestScenarioFuzz:
         assert sum(fs.wireless_drops for fs in result.flows) \
             == sum(dropped for _, dropped, _ in result.loss_trace)
         for ctrl, trace in zip(result.controllers, result.traces):
-            assert ctrl.cwnd >= 1.0
-            assert all(r.cwnd >= 1.0 for r in trace)
+            # so allowed_in_flight's int(cwnd) is never below two
+            assert ctrl.cwnd >= MIN_SSTHRESH
+            assert all(r.cwnd >= MIN_SSTHRESH for r in trace)
             times = [r.t for r in trace]
             assert times == sorted(times)

@@ -108,19 +108,13 @@ class TestSeries:
         sc = Scenario(flow_count=2, duration_s=200.0, warmup_s=100.0,
                       loss=LossSpec("gilbert", p=0.01, q=0.5), seed=4)
         result = run_scenario(sc)
-        series = metrics.throughput_series(result, bucket_width_s=1.0)
-        window_bits = sum(series.aggregate[100:200])  # bits/s x 1 s buckets
+        series = metrics.throughput_series(result)
+        assert metrics.BUCKET_S == 1.0
+        # bits/s x 1 s buckets
+        window_bits = sum(sum(samples[100:200]) for samples in series)
         scalar = metrics.run_mean_throughput(result)
         bucket_quantum = sc.packet_size_bytes * 8
         assert abs(window_bits / 100.0 - scalar) <= bucket_quantum
-
-    def test_aggregate_is_sum_of_flows(self):
-        sc = Scenario(flow_count=3, duration_s=120.0)
-        result = run_scenario(sc)
-        series = metrics.throughput_series(result)
-        for i, total in enumerate(series.aggregate):
-            assert total == pytest.approx(
-                sum(series.per_flow[f][i] for f in series.per_flow))
 
 
 class TestHalveViolations:
@@ -149,14 +143,31 @@ class TestCsvWriters:
         result = run_scenario(sc)
         series_path = tmp_path / "series.csv"
         trace_path = tmp_path / "trace.csv"
-        loss_path = tmp_path / "loss.tsv"
         metrics.write_series_csv(series_path,
                                  metrics.throughput_series(result))
         metrics.write_controller_trace_csv(trace_path, result)
-        metrics.write_loss_trace(loss_path, result)
-        assert series_path.read_text().startswith(
-            "t_bucket_start,flow_id,throughput_bps")
-        assert trace_path.read_text().startswith("t,flow_id,cwnd")
-        lines = loss_path.read_text().splitlines()
-        assert lines[0] == "packet_index\tdropped\tstate"
-        assert len(lines) == 1 + len(result.loss_trace)
+        series_lines = series_path.read_text().splitlines()
+        assert series_lines[0] == "t_bucket_start,flow_id,throughput_bps"
+        assert len(series_lines) == 1 + 120
+        trace_lines = trace_path.read_text().splitlines()
+        assert trace_lines[0] \
+            == "t,flow_id,cwnd,phase,event_type,loss_class,n,rott_i," \
+            "rott_mean,rott_dev"
+        assert len(trace_lines) == 1 + len(result.traces[0])
+
+    def test_summary_headers(self, tmp_path):
+        summary_path = tmp_path / "summary.csv"
+        metrics.write_summary_csv(summary_path, [])
+        assert summary_path.read_text().splitlines() == [
+            "flow_count,loss_kind,plr_pct,aggregate_rate_bps,seed,"
+            "congestion_baseline,congestion_zigzag,wireless_zigzag,"
+            "mean_throughput_baseline_bps,mean_throughput_zigzag_bps,"
+            "throughput_increase_pct,bw_utilization_baseline_pct,"
+            "bw_utilization_zigzag_pct,halve_violations"]
+        run_path = tmp_path / "run_summary.csv"
+        metrics.write_run_summary_csv(
+            run_path, run_scenario(Scenario(duration_s=101.0)))
+        assert run_path.read_text().splitlines()[0] \
+            == "flow_count,loss_kind,plr_pct,aggregate_rate_bps,policy,seed," \
+            "mean_throughput_bps,bw_utilization_pct,congestion_events," \
+            "wireless_events,queue_drops,wireless_drops"
