@@ -132,6 +132,11 @@ class CongestionController:
     def __post_init__(self):
         if self.policy not in (BASELINE, ZIGZAG):
             raise ValueError(f"unknown policy {self.policy!r}")
+        for name in ("cwnd", "ssthresh"):
+            value = getattr(self, name)
+            if not value >= MIN_SSTHRESH:
+                raise ValueError(
+                    f"{name} must be >= {MIN_SSTHRESH}, got {value}")
         if self.estimator is None:
             self.estimator = RottEstimator(alpha=self.alpha)
 
@@ -144,17 +149,20 @@ class CongestionController:
         return int(self.cwnd)
 
     def on_ack(self, rtt, window_limited=True):
-        """Process the acknowledgement of one new packet.
+        """Process the acknowledgement of one new packet; returns the ROTT
+        sample it gave the estimator.
 
         The window only grows while the window is the binding constraint;
         an application-limited sender must not inflate cwnd.
         """
-        self.estimator.update(estimate_rott(rtt))
+        rott_i = estimate_rott(rtt)
+        self.estimator.update(rott_i)
         if window_limited:
             if self.phase == SLOW_START:
                 self.cwnd += 1
             else:
                 self.cwnd += 1 / self.cwnd
+        return rott_i
 
     def on_loss_event(self, event, forced_congestion=False):
         """React to one loss event; returns its class.
@@ -179,9 +187,12 @@ class CongestionController:
         return cls
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
-    """One controller trace row; reproduces window-versus-time plots."""
+    """One controller trace row; reproduces window-versus-time plots.
+
+    Slotted: one row is kept per ACK, so a row holds no instance dict.
+    """
 
     t: float
     flow_id: int

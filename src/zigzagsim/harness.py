@@ -12,9 +12,9 @@ feedback time are both known when it is sent.
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
-from .control import (CongestionController, LossEvent, TraceRecord,
-                      estimate_rott)
+from .control import CongestionController, LossEvent, TraceRecord
 from .kernel import RngStream, Simulator
 from .scenario import Scenario
 
@@ -67,7 +67,8 @@ class ForwardPath:
         IN_FLIGHT.  A packet that reaches n1 only after the horizon
         changes nothing else; one admitted in time is queued and drawn.
         """
-        start = max(now, self.wired_busy_until)
+        busy = self.wired_busy_until
+        start = busy if busy > now else now
         done = start + size_bytes * 8.0 / WIRED_BANDWIDTH_BPS
         self.wired_busy_until = done
         arrival = done + WIRED_DELAY_S
@@ -132,7 +133,7 @@ class Sender:
             ssthresh=scenario.initial_ssthresh_pkts)
         self.trace = []
         self.stats = FlowStats()
-        self.outstanding = {}  # seq -> [sent_at, dup_count], insertion = seq order
+        self.outstanding = {}  # seq -> (sent_at, dup_count), insertion = seq order
         self.last_progress = 0.0
         self._deadline = None    # timeout time; None while nothing is out
         self._timer_at = None    # fire time of the pending rto event
@@ -169,20 +170,21 @@ class Sender:
     def try_send(self):
         stats = self.stats
         out = self.outstanding
-        # cwnd cannot change while sending; the backlog is generated - sent,
-        # and the next seq is the count sent so far
+        # neither the clock nor cwnd can change while sending; the backlog
+        # is generated - sent, and the next seq is the count sent so far
+        now = self.sim.now
+        send = self.path.send
+        size_bytes = self.scenario.packet_size_bytes
         window = self.ctrl.allowed_in_flight()
         while stats.generated > stats.sent and len(out) < window:
             seq = stats.sent
             stats.sent += 1
-            now = self.sim.now
             was_idle = not out
-            out[seq] = [now, 0]
+            out[seq] = (now, 0)
             if was_idle:
                 self.last_progress = now
                 self._arm_timer()
-            outcome = self.path.send(now, self.flow_id, seq,
-                                     self.scenario.packet_size_bytes)
+            outcome = send(now, self.flow_id, seq, size_bytes)
             if outcome is QUEUE_DROP:
                 stats.queue_drops += 1
             elif outcome is WIRELESS_DROP:
@@ -192,9 +194,8 @@ class Sender:
                 # returns after the fixed lossless reverse path
                 stats.delivered += 1
                 stats.delivery_times.append(outcome)
-                self.sim.schedule_at(
-                    outcome + self.receiver_delay_s,
-                    lambda s=seq, t=now: self.on_feedback(s, t), "fb")
+                self.sim.schedule_at(outcome + self.receiver_delay_s,
+                                     partial(self.on_feedback, seq, now), "fb")
         # a full window opens only in on_feedback or _on_timeout, which
         # generate and send first, so only a window with room needs a
         # wakeup at the next CBR instant
@@ -206,28 +207,31 @@ class Sender:
 
     def on_feedback(self, seq, sent_at):
         now = self.sim.now
-        self.generate_until(now)
+        if self._next_gen <= now:
+            self.generate_until(now)
         ctrl = self.ctrl
         out = self.outstanding
-        rtt = now - sent_at
-        rott_i = estimate_rott(rtt)
         was_present = out.pop(seq, None) is not None
         window_limited = self.stats.generated > self.stats.sent or \
             len(out) + (1 if was_present else 0) + 1 >= ctrl.allowed_in_flight()
-        ctrl.on_ack(rtt, window_limited)
+        rott_i = ctrl.on_ack(now - sent_at, window_limited)
         est = ctrl.estimator
         self.trace.append(TraceRecord(now, self.flow_id, ctrl.cwnd,
                                       ctrl.phase, "ack", "", 0, rott_i,
                                       est.mean, est.dev))
         # every outstanding seq below the delivered one gains a duplicate
-        # report; at DUP_THRESHOLD it is declared lost (no retransmission)
+        # report; at DUP_THRESHOLD it is declared lost (no retransmission).
+        # A new record under an existing key leaves the dict's size alone,
+        # so the loop may store it.
         lost = []
         for s, rec in out.items():
             if s > seq:
                 break
-            rec[1] += 1
-            if rec[1] >= DUP_THRESHOLD:
+            dups = rec[1] + 1
+            if dups >= DUP_THRESHOLD:
                 lost.append(s)
+            else:
+                out[s] = (rec[0], dups)
         if lost:
             for s in lost:
                 del out[s]
@@ -268,7 +272,8 @@ class Sender:
         if est.sample_count == 0:
             return INITIAL_RTO_S
         # 2 * smoothed RTT + 4 * RTT deviation, in ROTT terms
-        return max(4.0 * est.mean + 8.0 * est.dev, MIN_RTO_S)
+        rto = 4.0 * est.mean + 8.0 * est.dev
+        return MIN_RTO_S if MIN_RTO_S > rto else rto
 
     def _arm_timer(self):
         """Move the timeout to ``last_progress + _rto()``.
@@ -287,7 +292,7 @@ class Sender:
     def _schedule_timer(self, at):
         self._timer_epoch += 1
         self._timer_at = at
-        self.sim.schedule_at(at, lambda e=self._timer_epoch: self._on_timer(e),
+        self.sim.schedule_at(at, partial(self._on_timer, self._timer_epoch),
                              "rto")
 
     def _on_timer(self, epoch):

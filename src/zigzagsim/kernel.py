@@ -43,12 +43,14 @@ class Simulator:
             raise PastTimeError(
                 f"cannot run to t={t_end} (clock is {self.now})")
         queue = self._queue
+        log = self.event_log
+        pop = heapq.heappop
         count = 0
         while queue and queue[0][0] <= t_end:
-            fire_at, seq, action, tag = heapq.heappop(queue)
+            fire_at, seq, action, tag = pop(queue)
             self.now = fire_at
-            if self.event_log is not None:
-                self.event_log.append((fire_at, seq, tag))
+            if log is not None:
+                log.append((fire_at, seq, tag))
             action()
             count += 1
         self.now = t_end

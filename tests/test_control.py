@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from zigzagsim.control import (BASELINE, CONGESTION, MIN_SSTHRESH,
                                WIRELESS, ZIGZAG, CongestionController,
                                EstimatorNotReady, LossEvent, RottEstimator,
-                               classify_loss, estimate_rott)
+                               TraceRecord, classify_loss, estimate_rott)
 
 
 class TestEstimateRott:
@@ -143,7 +145,7 @@ class TestCongestionController:
     def test_slow_start_exponential_growth(self):
         ctrl = CongestionController(policy=BASELINE, cwnd=2.0, ssthresh=64.0)
         for _ in range(2):
-            ctrl.on_ack(rtt=0.6)
+            assert ctrl.on_ack(rtt=0.6) == estimate_rott(0.6)
         assert ctrl.cwnd == 2.0 + 1 + 1
         assert ctrl.phase == "slow_start"
 
@@ -151,7 +153,7 @@ class TestCongestionController:
         ctrl = CongestionController(policy=BASELINE, cwnd=10.0, ssthresh=5.0)
         expected = 10.0
         for _ in range(10):
-            ctrl.on_ack(rtt=0.6)
+            assert ctrl.on_ack(rtt=0.6) == estimate_rott(0.6)
             expected += 1 / expected
         assert ctrl.cwnd == expected
         assert 10.9 < ctrl.cwnd < 11.0  # about one packet per window
@@ -169,13 +171,19 @@ class TestCongestionController:
     def test_ack_feeds_estimator(self):
         ctrl = CongestionController()
         before = ctrl.estimator.sample_count
-        ctrl.on_ack(rtt=0.6)
+        # the sample given to the estimator is the one returned
+        assert ctrl.on_ack(rtt=0.6) == estimate_rott(0.6)
         assert ctrl.estimator.sample_count == before + 1
-        assert ctrl.estimator.mean == pytest.approx(0.3)
+        assert ctrl.estimator.mean == estimate_rott(0.6)
+        assert ctrl.on_ack(rtt=0.9) == estimate_rott(0.9)
+        assert ctrl.estimator.mean \
+            == (1.0 - ctrl.alpha) * estimate_rott(0.6) \
+            + ctrl.alpha * estimate_rott(0.9)
 
     def test_app_limited_ack_does_not_grow(self):
         ctrl = CongestionController(cwnd=10.0, ssthresh=5.0)
-        ctrl.on_ack(rtt=0.6, window_limited=False)
+        assert ctrl.on_ack(rtt=0.6, window_limited=False) \
+            == estimate_rott(0.6)
         assert ctrl.cwnd == pytest.approx(10.0)
 
     def test_baseline_always_halves(self):
@@ -245,6 +253,26 @@ class TestCongestionController:
         with pytest.raises(ValueError):
             CongestionController(policy="reno")
 
+    @pytest.mark.parametrize("name", ["cwnd", "ssthresh"])
+    @pytest.mark.parametrize("value", [MIN_SSTHRESH - 0.01, 0.5, 0.0, -1.0,
+                                       math.nan])
+    def test_window_below_floor_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            CongestionController(**{name: value})
+        # the floor itself is a valid window
+        assert CongestionController(**{name: MIN_SSTHRESH}) \
+            .allowed_in_flight() >= MIN_SSTHRESH
+
     def test_loss_event_requires_positive_n(self):
         with pytest.raises(ValueError):
             LossEvent(n=0, rott_at_detection=0.3)
+
+
+class TestTraceRecord:
+    def test_row_has_no_instance_dict(self):
+        # one row is kept per ACK; slots keep each row small
+        row = TraceRecord(1.0, 0, 10.0, "slow_start", "ack", "", 0, 0.3,
+                          0.3, 0.0)
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(AttributeError):
+            row.seq = 1

@@ -255,6 +255,74 @@ class TestLazySource:
             == [recount_generated(sc, i) for i in range(sc.flow_count)]
 
 
+def holed_sender(holes, duration_s=10.0):
+    """A lone sender on a lossless path whose packets ``holes`` are
+    dropped; returns it, run to ``duration_s``, and its delivered seqs in
+    delivery order."""
+    sim, sender = lone_sender(Scenario(aggregate_rate_bps=2.0e5,
+                                       duration_s=duration_s))
+    delivered = []
+    send = sender.path.send
+
+    def drop_holes(now, flow_id, seq, size_bytes):
+        outcome = send(now, flow_id, seq, size_bytes)
+        if seq in holes:
+            return WIRELESS_DROP
+        if isinstance(outcome, float):
+            delivered.append(seq)
+        return outcome
+
+    sender.path.send = drop_holes
+    sim.run_until(duration_s)
+    return sender, delivered
+
+
+def acks_before_losses(sender):
+    """For each loss row of the trace: (acks before it, its n)."""
+    acks = 0
+    losses = []
+    for r in sender.trace:
+        if r.event_type == "ack":
+            acks += 1
+        else:
+            losses.append((acks, r.n))
+    return losses
+
+
+def third_later_ack(delivered, hole):
+    """The 1-based number of the ACK that reports the third delivered
+    seq above ``hole``."""
+    return [i for i, s in enumerate(delivered, start=1) if s > hole][2]
+
+
+class TestDuplicateFeedbackLoss:
+    """A seq is declared lost when the third later packet is reported
+    delivered; contiguous losses form one loss event."""
+
+    def test_hole_declared_lost_at_third_later_ack(self):
+        sender, delivered = holed_sender({5})
+        assert delivered[:8] == [0, 1, 2, 3, 4, 6, 7, 8]
+        # lost exactly at the ACK of 8, after the ACKs of 6 and 7
+        assert acks_before_losses(sender) == [(third_later_ack(delivered, 5),
+                                               1)]
+        assert third_later_ack(delivered, 5) == 8
+        assert sender.stats.timeouts == 0
+        assert 5 not in sender.outstanding
+
+    def test_contiguous_holes_form_one_event(self):
+        sender, delivered = holed_sender({5, 6, 7})
+        assert acks_before_losses(sender) == [(third_later_ack(delivered, 7),
+                                               3)]
+        assert sender.stats.timeouts == 0
+
+    def test_separated_holes_form_two_events(self):
+        sender, delivered = holed_sender({5, 12})
+        assert acks_before_losses(sender) == [
+            (third_later_ack(delivered, 5), 1),
+            (third_later_ack(delivered, 12), 1)]
+        assert sender.stats.timeouts == 0
+
+
 class TestTopologyBuild:
     def test_default_scenario_builds(self):
         net = Network(Scenario())
