@@ -206,7 +206,11 @@ class TraceRecord:
     rott_dev: float
 
     def as_row(self):
-        return (f"{self.t:.9f}", str(self.flow_id), f"{self.cwnd:.6f}",
-                self.phase, self.event_type, self.loss_class, str(self.n),
-                f"{self.rott_i:.9f}", f"{self.rott_mean:.9f}",
-                f"{self.rott_dev:.9f}")
+        """The row as one CSV line, without its terminator: the one
+        definition of a trace row's text.  The string fields are fixed
+        words (the constants above, "ack" and "loss"), so none is quoted.
+        """
+        return "%.9f,%d,%.6f,%s,%s,%s,%d,%.9f,%.9f,%.9f" % (
+            self.t, self.flow_id, self.cwnd, self.phase, self.event_type,
+            self.loss_class, self.n, self.rott_i, self.rott_mean,
+            self.rott_dev)

@@ -235,25 +235,17 @@ class Sender:
         if lost:
             for s in lost:
                 del out[s]
-            self._emit_loss_events(lost, rott_i)
+            # one loss event: the lost seqs are contiguous.  Feedback is
+            # FIFO per flow, so a lower outstanding seq has at least as
+            # many reports as a higher one, and the lost seqs are a prefix
+            # of the outstanding ones.  A gap in it could only be a seq
+            # delivered in between, whose report the lower seq got and the
+            # higher did not, so the two cross DUP_THRESHOLD at different
+            # ACKs; loss events and timeouts remove a prefix, not a gap.
+            self._apply_loss_event(len(lost), rott_i, forced=False)
         self.last_progress = now
         self._arm_timer()
         self.try_send()
-
-    def _emit_loss_events(self, lost_seqs, rott_i):
-        """Group contiguous sequence numbers into loss events and apply them."""
-        run_start = lost_seqs[0]
-        prev = lost_seqs[0]
-        runs = []
-        for s in lost_seqs[1:]:
-            if s == prev + 1:
-                prev = s
-                continue
-            runs.append(prev - run_start + 1)
-            run_start = prev = s
-        runs.append(prev - run_start + 1)
-        for n in runs:
-            self._apply_loss_event(n, rott_i, forced=False)
 
     def _apply_loss_event(self, n, rott_i, forced):
         """Apply one loss event of ``n`` packets and trace it."""

@@ -1,6 +1,5 @@
 """Post-processing of run traces into reported quantities and CSV files."""
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -62,18 +61,15 @@ def controller_trace_hash(result):
     """Stable digest of all controller trace rows, for determinism checks."""
     h = hashlib.sha256()
     for trace in result.traces:
-        for rec in trace:
-            h.update(",".join(rec.as_row()).encode())
-            h.update(b"\n")
+        h.update("".join([rec.as_row() + "\n" for rec in trace]).encode())
     return h.hexdigest()
 
 
 def delivery_hash(result):
     h = hashlib.sha256()
     for fs in result.flows:
-        for t in fs.delivery_times:
-            h.update(f"{t:.9f};".encode())
-        h.update(b"|")
+        h.update(("".join(["%.9f;" % t for t in fs.delivery_times])
+                  + "|").encode())
     return h.hexdigest()
 
 
@@ -164,31 +160,40 @@ def summarize(baseline, zigzag):
 
 
 # -- CSV writers -------------------------------------------------------
+#
+# The bytes are those csv.writer would write.  Lines end in "\r\n", and
+# no field is quoted: every string field is a fixed word (phase, event
+# type, loss class, loss kind, policy) with no comma, quote or line
+# break.  Other values are written with str() (repr for floats), as
+# csv.writer writes them, or with a fixed format.
+
+def _line(values):
+    return ",".join(map(str, values)) + "\r\n"
+
+
+def _write_csv(path, header, chunks):
+    """Write the header line, then each chunk of "\r\n"-ended lines."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_line(header))
+        fh.writelines(chunks)
+
 
 def write_series_csv(path, series):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_bucket_start", "flow_id", "throughput_bps"])
-        for flow_id, samples in enumerate(series):
-            for i, bps in enumerate(samples):
-                w.writerow([f"{i * BUCKET_S:.3f}", flow_id, f"{bps:.3f}"])
+    _write_csv(path, ["t_bucket_start", "flow_id", "throughput_bps"], (
+        "".join(["%.3f,%d,%.3f\r\n" % (i * BUCKET_S, flow_id, bps)
+                 for i, bps in enumerate(samples)])
+        for flow_id, samples in enumerate(series)))
 
 
 def write_controller_trace_csv(path, result):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([f.name for f in fields(TraceRecord)])
-        for trace in result.traces:
-            for rec in trace:
-                w.writerow(rec.as_row())
+    _write_csv(path, [f.name for f in fields(TraceRecord)], (
+        "".join([rec.as_row() + "\r\n" for rec in trace])
+        for trace in result.traces))
 
 
 def write_summary_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([f.name for f in fields(ExperimentResult)])
-        for row in rows:
-            w.writerow(row.as_row())
+    _write_csv(path, [f.name for f in fields(ExperimentResult)],
+               [_line(row.as_row()) for row in rows])
 
 
 def write_run_summary_csv(path, result):
@@ -197,18 +202,16 @@ def write_run_summary_csv(path, result):
     sc = result.scenario
     tput = run_mean_throughput(result)
     util = bandwidth_utilization(tput, sc.aggregate_rate_bps)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["flow_count", "loss_kind", "plr_pct",
-                    "aggregate_rate_bps", "policy", "seed",
-                    "mean_throughput_bps", "bw_utilization_pct",
-                    "congestion_events", "wireless_events",
-                    "queue_drops", "wireless_drops"])
-        w.writerow([sc.flow_count, sc.loss.kind,
-                    f"{100.0 * sc.loss.analytic_plr:.4f}",
-                    sc.aggregate_rate_bps, sc.policy, sc.seed,
-                    f"{tput:.3f}", f"{util:.3f}",
-                    result.congestion_events, result.wireless_events,
-                    sum(f.queue_drops for f in result.flows),
-                    sum(f.wireless_drops for f in result.flows)])
+    _write_csv(path, ["flow_count", "loss_kind", "plr_pct",
+                      "aggregate_rate_bps", "policy", "seed",
+                      "mean_throughput_bps", "bw_utilization_pct",
+                      "congestion_events", "wireless_events",
+                      "queue_drops", "wireless_drops"],
+               [_line([sc.flow_count, sc.loss.kind,
+                       f"{100.0 * sc.loss.analytic_plr:.4f}",
+                       sc.aggregate_rate_bps, sc.policy, sc.seed,
+                       f"{tput:.3f}", f"{util:.3f}",
+                       result.congestion_events, result.wireless_events,
+                       sum(f.queue_drops for f in result.flows),
+                       sum(f.wireless_drops for f in result.flows)])])
     return tput, util

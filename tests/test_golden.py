@@ -19,6 +19,10 @@ delivered packet costs one event instead of two (3,870 and 4,035 ``wless``
 events before).  The ``fb`` event now takes its insertion number at send
 time, which could reorder events that share a timestamp; every hash,
 total and other count is unchanged by that.
+
+The trace and series CSVs that ``run`` and ``matrix --out`` write are pinned
+by their sha256, so a writer that changes how it writes must still write
+the same bytes.
 """
 
 import hashlib
@@ -49,6 +53,10 @@ GOLDEN = {
                    "congestion_events": 127, "wireless_events": 0,
                    "loss_trace": 4004},
         "events": {"gen": 68, "fb": 3822, "rto": 245},
+        "trace_csv_sha256": "0ea05befadbde3fecb37101eed846b08"
+                            "e0c0d336d2ac3fefe1cfbeedab49bb7c",
+        "series_csv_sha256": "5669105ef9e6751a38e7b740f7d6c1f5"
+                             "8e521d6c68bfbf528cd687dfea0a2eb8",
     },
     "zigzag": {
         "trace_hash": "54fd7c2c4cfe4c233f66d18ea41d448e"
@@ -64,6 +72,10 @@ GOLDEN = {
                    "congestion_events": 110, "wireless_events": 18,
                    "loss_trace": 4195},
         "events": {"gen": 68, "fb": 3986, "rto": 288},
+        "trace_csv_sha256": "4f157e23490abd5b1d6150b466dd318d"
+                            "4e09a10330d8570608b2b2e614277eb1",
+        "series_csv_sha256": "32d9c3eec2ad07e2b3a240abb5cddb12"
+                             "fb990ad77bfd3f7bc71203f2cb8bad6b",
     },
 }
 
@@ -72,8 +84,12 @@ def digest(items):
     return hashlib.sha256(repr(items).encode()).hexdigest()
 
 
+def file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("policy", sorted(GOLDEN))
-def test_golden_pair(policy):
+def test_golden_pair(policy, tmp_path):
     golden = GOLDEN[policy]
     net = Network(SCENARIO.with_policy(policy), log_events=True)
     result = net.run()
@@ -93,3 +109,10 @@ def test_golden_pair(policy):
     events = dict(Counter(entry[2] for entry in net.sim.event_log))
     assert events == golden["events"]
     assert result.events_dispatched == sum(events.values())
+    # the bytes of the artefacts ``run`` and ``matrix --out`` write
+    trace_path = tmp_path / "trace.csv"
+    series_path = tmp_path / "series.csv"
+    metrics.write_controller_trace_csv(trace_path, result)
+    metrics.write_series_csv(series_path, metrics.throughput_series(result))
+    assert file_sha256(trace_path) == golden["trace_csv_sha256"]
+    assert file_sha256(series_path) == golden["series_csv_sha256"]

@@ -502,6 +502,31 @@ def fuzzed_scenarios(draw):
     return Scenario(loss=LossSpec(**loss), **fields), broken
 
 
+def check_loss_events_per_feedback(sender):
+    """Wrap ``sender.on_feedback`` so each call checks that the seqs it
+    declares lost, all it removes but the ACKed one, are contiguous and
+    form one loss event of that many packets.
+
+    The ``fb`` events bind ``on_feedback`` when they are scheduled, in
+    ``try_send``, so this must run before the simulation starts.
+    """
+    on_feedback = sender.on_feedback
+
+    def checked(seq, sent_at):
+        before = set(sender.outstanding)
+        rows = len(sender.trace)
+        on_feedback(seq, sent_at)
+        lost = sorted(before - set(sender.outstanding) - {seq})
+        losses = [r.n for r in sender.trace[rows:] if r.event_type == "loss"]
+        if lost:
+            assert lost == list(range(lost[0], lost[-1] + 1))
+            assert losses == [len(lost)]
+        else:
+            assert losses == []
+
+    sender.on_feedback = checked
+
+
 class TestScenarioFuzz:
     """Every fuzzed scenario is rejected naming its broken field, or runs
     as a pair that keeps the run invariants."""
@@ -515,6 +540,9 @@ class TestScenarioFuzz:
                 run_scenario(sc)
             return
         nets = [Network(sc.with_policy(p)) for p in ("baseline", "zigzag")]
+        for net in nets:
+            for sender in net.senders:
+                check_loss_events_per_feedback(sender)
         pair = [net.run() for net in nets]
         for net, result in zip(nets, pair):
             self.check_run(sc, net, result)

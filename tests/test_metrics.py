@@ -1,3 +1,8 @@
+import csv
+import io
+import math
+from dataclasses import fields
+
 import pytest
 
 from zigzagsim import metrics
@@ -171,3 +176,133 @@ class TestCsvWriters:
             == "flow_count,loss_kind,plr_pct,aggregate_rate_bps,policy,seed," \
             "mean_throughput_bps,bw_utilization_pct,congestion_events," \
             "wireless_events,queue_drops,wireless_drops"
+
+
+def csv_bytes(rows):
+    """What csv.writer writes for ``rows``: the oracle of the writers."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def trace_fields(rec):
+    return [f"{rec.t:.9f}", str(rec.flow_id), f"{rec.cwnd:.6f}", rec.phase,
+            rec.event_type, rec.loss_class, str(rec.n), f"{rec.rott_i:.9f}",
+            f"{rec.rott_mean:.9f}", f"{rec.rott_dev:.9f}"]
+
+
+def read_dicts(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestCsvBytes:
+    """The writers' bytes against csv.writer fed per-field f-strings, on a
+    short lossy pair with timeouts and both loss classes."""
+
+    SCENARIO = Scenario(flow_count=3, aggregate_rate_bps=1.5e6,
+                        loss=LossSpec("gilbert", p=0.05, q=0.5),
+                        duration_s=30.0, warmup_s=0.0, seed=1)
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        pair = [run_scenario(self.SCENARIO.with_policy(p))
+                for p in ("baseline", "zigzag")]
+        for result in pair:
+            assert sum(fs.timeouts for fs in result.flows) > 0
+        assert pair[1].wireless_events > 0 and pair[1].congestion_events > 0
+        return pair
+
+    def test_controller_trace(self, pair, tmp_path):
+        path = tmp_path / "trace.csv"
+        for result in pair:
+            metrics.write_controller_trace_csv(path, result)
+            records = [rec for trace in result.traces for rec in trace]
+            header = [f.name for f in fields(TraceRecord)]
+            assert path.read_bytes() == csv_bytes(
+                [header] + [trace_fields(rec) for rec in records])
+            rows = read_dicts(path)
+            assert len(rows) == len(records)
+            for row, rec in zip(rows, records):
+                assert list(row) == header
+                assert int(row["flow_id"]) == rec.flow_id
+                assert int(row["n"]) == rec.n
+                assert (row["phase"], row["event_type"], row["loss_class"]) \
+                    == (rec.phase, rec.event_type, rec.loss_class)
+                assert float(row["t"]) == pytest.approx(rec.t, abs=1e-9)
+                assert float(row["cwnd"]) == pytest.approx(rec.cwnd, abs=1e-6)
+                for name in ("rott_i", "rott_mean", "rott_dev"):
+                    assert float(row[name]) \
+                        == pytest.approx(getattr(rec, name), abs=1e-9)
+            assert {row["loss_class"] for row in rows} >= {"", "congestion"}
+
+    def test_series(self, pair, tmp_path):
+        path = tmp_path / "series.csv"
+        for result in pair:
+            series = metrics.throughput_series(result)
+            metrics.write_series_csv(path, series)
+            expected = [[f"{i * metrics.BUCKET_S:.3f}", flow_id, f"{bps:.3f}"]
+                        for flow_id, samples in enumerate(series)
+                        for i, bps in enumerate(samples)]
+            assert path.read_bytes() == csv_bytes(
+                [["t_bucket_start", "flow_id", "throughput_bps"]] + expected)
+            rows = read_dicts(path)
+            assert [(float(r["t_bucket_start"]), int(r["flow_id"]),
+                     float(r["throughput_bps"])) for r in rows] \
+                == [(float(t), flow_id, float(bps))
+                    for t, flow_id, bps in expected]
+
+    def test_summary(self, pair, tmp_path):
+        path = tmp_path / "summary.csv"
+        row = metrics.summarize(*pair)
+        metrics.write_summary_csv(path, [row, row])
+        header = [f.name for f in fields(metrics.ExperimentResult)]
+        values = [getattr(row, name) for name in header]
+        assert path.read_bytes() == csv_bytes([header, values, values])
+        for read in read_dicts(path):
+            assert list(read) == header
+            for name, value in zip(header, values):
+                assert type(value)(read[name]) == value
+
+    def test_run_summary(self, pair, tmp_path):
+        path = tmp_path / "run_summary.csv"
+        for result in pair:
+            sc = result.scenario
+            tput, util = metrics.write_run_summary_csv(path, result)
+            assert tput == metrics.run_mean_throughput(result)
+            assert util == metrics.bandwidth_utilization(
+                tput, sc.aggregate_rate_bps)
+            header = ["flow_count", "loss_kind", "plr_pct",
+                      "aggregate_rate_bps", "policy", "seed",
+                      "mean_throughput_bps", "bw_utilization_pct",
+                      "congestion_events", "wireless_events",
+                      "queue_drops", "wireless_drops"]
+            values = [sc.flow_count, sc.loss.kind,
+                      f"{100.0 * sc.loss.analytic_plr:.4f}",
+                      sc.aggregate_rate_bps, sc.policy, sc.seed,
+                      f"{tput:.3f}", f"{util:.3f}",
+                      result.congestion_events, result.wireless_events,
+                      sum(f.queue_drops for f in result.flows),
+                      sum(f.wireless_drops for f in result.flows)]
+            assert path.read_bytes() == csv_bytes([header, values])
+            (read,) = read_dicts(path)
+            assert list(read) == header
+            assert read["policy"] == sc.policy
+            assert int(read["seed"]) == sc.seed
+            assert float(read["aggregate_rate_bps"]) == sc.aggregate_rate_bps
+            assert float(read["mean_throughput_bps"]) \
+                == pytest.approx(tput, abs=1e-3)
+            assert int(read["wireless_events"]) == result.wireless_events
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1e-10, -1e-10, 2.5e300,
+                                   math.inf, -math.inf, math.nan])
+    def test_trace_row_special_floats(self, x, tmp_path):
+        rec = TraceRecord(x, 0, x, "slow_start", "ack", "", 0, x, x, x)
+        path = tmp_path / "trace.csv"
+
+        class One:
+            traces = [[rec]]
+
+        metrics.write_controller_trace_csv(path, One())
+        header = [f.name for f in fields(TraceRecord)]
+        assert path.read_bytes() == csv_bytes([header, trace_fields(rec)])
