@@ -146,24 +146,24 @@ def run_pair(template, out_dir=None):
 
 
 def _pair_worker(payload):
-    index, template, out_dir = payload
+    template, out_dir = payload
     try:
-        return index, run_pair(template, out_dir), None
+        return run_pair(template, out_dir), None
     except Exception as exc:  # keep completed rows on partial failure
-        return index, None, f"{_run_tag(template)}: {exc}"
+        return None, f"{_run_tag(template)}: {exc}"
 
 
 def run_matrix(templates, out_dir, jobs=1):
     """Run every pair, return (rows in template order, failure messages)."""
-    payloads = [(i, t, out_dir) for i, t in enumerate(templates)]
+    payloads = [(t, out_dir) for t in templates]
+    # both return the outcomes in payload order
     if jobs > 1 and len(payloads) > 1:
         with multiprocessing.Pool(min(jobs, len(payloads))) as pool:
             outcomes = pool.map(_pair_worker, payloads)
     else:
         outcomes = [_pair_worker(p) for p in payloads]
-    outcomes.sort(key=lambda o: o[0])
-    rows = [row for _, row, err in outcomes if err is None]
-    failures = [err for _, _, err in outcomes if err is not None]
+    rows = [row for row, err in outcomes if err is None]
+    failures = [err for _, err in outcomes if err is not None]
     return rows, failures
 
 
@@ -199,11 +199,12 @@ def validate_loss_model(p, q, packet_count, seed, report=print):
     if packet_count < 10 ** 5:
         raise ValueError("packet_count must be >= 10^5")
     model = loss_models.GilbertElliottModel(p, q)
+    # raises for q = 0 before any draw, so p + q > 0 below
+    analytic_burst = loss_models.mean_burst_length(q)
+    analytic_plr = loss_models.steady_state_plr(p, q)
     rng = RngStream(seed).substream("loss")
     drops = loss_models.simulate_trace(model, rng, packet_count)
     stats = loss_models.trace_statistics(drops)
-    analytic_plr = loss_models.steady_state_plr(p, q) if p + q > 0 else 0.0
-    analytic_burst = loss_models.mean_burst_length(q)
     # a chain with no variance (p = 0, or p = q = 1) has no z-score
     se = plr_standard_error(p, q, packet_count)
     z = f"{(stats['plr'] - analytic_plr) / se:+.2f}" if se else "n/a"

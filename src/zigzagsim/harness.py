@@ -113,11 +113,13 @@ class Sender:
     Generated packets wait in an unbounded application buffer until the
     congestion window admits them.  The buffer is filled from the clock
     when the sender acts, so CBR instants cost an event only while the
-    window has room.  A sequence number is declared lost once
-    DUP_THRESHOLD later packets have been reported delivered; contiguous
-    losses form one loss event.  A timer, one pending event per flow,
-    declares everything stale as a single congestion event when feedback
-    dries up.
+    window has room.  An outstanding packet is its send time.  Reports
+    reach a flow in increasing seq order (the path is FIFO, and equal
+    feedback times fire in send order), so a seq has DUP_THRESHOLD later
+    packets reported exactly when it is below the DUP_THRESHOLD-th latest
+    report: the seqs below it are declared lost as one loss event.  A
+    timer, one pending event per flow, declares everything stale as a
+    single congestion event when feedback dries up.
     """
 
     def __init__(self, sim, flow_id, scenario, path, receiver_delay_s,
@@ -133,7 +135,9 @@ class Sender:
             ssthresh=scenario.initial_ssthresh_pkts)
         self.trace = []
         self.stats = FlowStats()
-        self.outstanding = {}  # seq -> (sent_at, dup_count), insertion = seq order
+        self.outstanding = {}  # seq -> sent_at, insertion = seq order
+        # the DUP_THRESHOLD latest reported seqs, oldest first
+        self._reported = deque([-1] * DUP_THRESHOLD, maxlen=DUP_THRESHOLD)
         self.last_progress = 0.0
         self._deadline = None    # timeout time; None while nothing is out
         self._timer_at = None    # fire time of the pending rto event
@@ -180,7 +184,7 @@ class Sender:
             seq = stats.sent
             stats.sent += 1
             was_idle = not out
-            out[seq] = (now, 0)
+            out[seq] = now
             if was_idle:
                 self.last_progress = now
                 self._arm_timer()
@@ -211,44 +215,36 @@ class Sender:
             self.generate_until(now)
         ctrl = self.ctrl
         out = self.outstanding
-        was_present = out.pop(seq, None) is not None
         window_limited = self.stats.generated > self.stats.sent or \
-            len(out) + (1 if was_present else 0) + 1 >= ctrl.allowed_in_flight()
+            len(out) + 1 >= ctrl.allowed_in_flight()
+        out.pop(seq, None)
         rott_i = ctrl.on_ack(now - sent_at, window_limited)
         est = ctrl.estimator
         self.trace.append(TraceRecord(now, self.flow_id, ctrl.cwnd,
                                       ctrl.phase, "ack", "", 0, rott_i,
                                       est.mean, est.dev))
-        # every outstanding seq below the delivered one gains a duplicate
-        # report; at DUP_THRESHOLD it is declared lost (no retransmission).
-        # A new record under an existing key leaves the dict's size alone,
-        # so the loop may store it.
+        # the outstanding seqs below the DUP_THRESHOLD-th latest report
+        # are lost (no retransmission)
+        reported = self._reported
+        reported.append(seq)
+        floor = reported[0]
         lost = []
-        for s, rec in out.items():
-            if s > seq:
+        for s in out:
+            if s >= floor:
                 break
-            dups = rec[1] + 1
-            if dups >= DUP_THRESHOLD:
-                lost.append(s)
-            else:
-                out[s] = (rec[0], dups)
+            lost.append(s)
         if lost:
-            for s in lost:
-                del out[s]
-            # one loss event: the lost seqs are contiguous.  Feedback is
-            # FIFO per flow, so a lower outstanding seq has at least as
-            # many reports as a higher one, and the lost seqs are a prefix
-            # of the outstanding ones.  A gap in it could only be a seq
-            # delivered in between, whose report the lower seq got and the
-            # higher did not, so the two cross DUP_THRESHOLD at different
-            # ACKs; loss events and timeouts remove a prefix, not a gap.
-            self._apply_loss_event(len(lost), rott_i, forced=False)
+            self._apply_loss_event(lost, rott_i, forced=False)
         self.last_progress = now
         self._arm_timer()
         self.try_send()
 
-    def _apply_loss_event(self, n, rott_i, forced):
-        """Apply one loss event of ``n`` packets and trace it."""
+    def _apply_loss_event(self, lost, rott_i, forced):
+        """Delete the ``lost`` seqs, apply them as one loss event and trace it."""
+        out = self.outstanding
+        for s in lost:
+            del out[s]
+        n = len(lost)
         ctrl = self.ctrl
         est = ctrl.estimator
         cls = ctrl.on_loss_event(LossEvent(n=n, rott_at_detection=rott_i),
@@ -303,17 +299,18 @@ class Sender:
         self.generate_until(now)
         est = self.ctrl.estimator
         grace = 2.0 * est.mean if est.sample_count else DEFAULT_TIMEOUT_GRACE_S
-        stale = [s for s, rec in self.outstanding.items()
-                 if rec[0] <= now - grace]
-        if stale:
-            for s in stale:
-                del self.outstanding[s]
-            self.stats.timeouts += 1
-            rott_i = est.mean if est.sample_count else 0.0
-            # a silent window implies everything in it died: one event,
-            # forced congestion
-            self._apply_loss_event(len(stale), rott_i, forced=True)
-            self.last_progress = now
+        # never empty: the oldest outstanding packet was sent at or before
+        # last_progress, and the timer fires _rto() after that, which is at
+        # least grace (4 * mean >= 2 * mean, or 3.0 s against 0.7 s before
+        # the first sample)
+        stale = [s for s, sent_at in self.outstanding.items()
+                 if sent_at <= now - grace]
+        self.stats.timeouts += 1
+        rott_i = est.mean if est.sample_count else 0.0
+        # a silent window implies everything in it died: one event,
+        # forced congestion
+        self._apply_loss_event(stale, rott_i, forced=True)
+        self.last_progress = now
         self._arm_timer()
         self.try_send()
 

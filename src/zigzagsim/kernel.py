@@ -67,13 +67,11 @@ class RngStream:
 
     def __init__(self, seed):
         self.seed = int(seed)
-        self._streams = {}
 
     def substream(self, name):
-        """Return the random.Random owned by ``name`` (created on first use)."""
-        rng = self._streams.get(name)
-        if rng is None:
-            # str seeding is hashed with SHA-512, stable across runs/platforms
-            rng = random.Random(f"{self.seed}\x1f{name}")
-            self._streams[name] = rng
-        return rng
+        """Return a new random.Random seeded by the seed and ``name``.
+
+        Each call starts the stream afresh, so each component asks once.
+        """
+        # str seeding is hashed with SHA-512, stable across runs/platforms
+        return random.Random(f"{self.seed}\x1f{name}")

@@ -81,14 +81,12 @@ def trace_statistics(drops):
     losses = sum(drops)
     bursts = 0
     prev = False
-    repeat = 0  # drops immediately following a drop
     for d in drops:
-        if d:
-            if not prev:
-                bursts += 1
-            else:
-                repeat += 1
+        if d and not prev:
+            bursts += 1
         prev = d
+    # every drop starts a burst or follows a drop
+    repeat = losses - bursts
     plr = losses / n if n else 0.0
     mean_burst = losses / bursts if bursts else 0.0
     # conditional drop frequency given the previous packet dropped

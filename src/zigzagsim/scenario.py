@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from . import loss as loss_models
-from .control import DEFAULT_ALPHA, INITIAL_SSTHRESH
+from .control import DEFAULT_ALPHA, INITIAL_SSTHRESH, MIN_SSTHRESH
 
 GILBERT = "gilbert"
 UNIFORM = "uniform"
@@ -90,8 +90,9 @@ class Scenario:
             raise ScenarioError("feedback_size_bytes: must be >= 1")
         if not (0.0 < self.alpha < 0.5):
             raise ScenarioError(f"alpha: must be in (0, 0.5), got {self.alpha}")
-        if self.initial_ssthresh_pkts < 2:
-            raise ScenarioError("initial_ssthresh_pkts: must be >= 2")
+        if self.initial_ssthresh_pkts < MIN_SSTHRESH:
+            raise ScenarioError(
+                f"initial_ssthresh_pkts: must be >= {MIN_SSTHRESH:g}")
         self.loss.validate()
         return self
 

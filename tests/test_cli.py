@@ -312,8 +312,10 @@ class TestValidateLoss:
                          "--n", "1000"]) == 1
 
     def test_out_of_range_probability_rejected(self):
-        assert cli.main(["validate-loss", "--p", "1.5", "--q", "0.5",
-                         "--n", "100000"]) == 1
+        # p = q = 0 has no steady state and no finite burst
+        for p, q in (("1.5", "0.5"), ("0", "0")):
+            assert cli.main(["validate-loss", "--p", p, "--q", q,
+                             "--n", "100000"]) == 1
 
     def test_usage_error_exit_code(self):
         assert cli.main(["frobnicate"]) == 1

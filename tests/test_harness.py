@@ -316,11 +316,15 @@ class TestDuplicateFeedbackLoss:
         assert sender.stats.timeouts == 0
 
     def test_separated_holes_form_two_events(self):
-        sender, delivered = holed_sender({5, 12})
-        assert acks_before_losses(sender) == [
-            (third_later_ack(delivered, 5), 1),
-            (third_later_ack(delivered, 12), 1)]
-        assert sender.stats.timeouts == 0
+        for holes in ({5, 12}, {5, 7}):
+            sender, delivered = holed_sender(holes)
+            assert acks_before_losses(sender) == [
+                (third_later_ack(delivered, h), 1) for h in sorted(holes)]
+            assert sender.stats.timeouts == 0
+        # {5, 7} is the boundary: 5 falls below the third-latest report (9)
+        # at the 8th ACK, one ACK before 7 falls below 10, so one ACK's
+        # lost seqs never skip a delivered one
+        assert acks_before_losses(sender) == [(8, 1), (9, 1)]
 
 
 class TestTopologyBuild:
@@ -503,16 +507,21 @@ def fuzzed_scenarios(draw):
 
 
 def check_loss_events_per_feedback(sender):
-    """Wrap ``sender.on_feedback`` so each call checks that the seqs it
-    declares lost, all it removes but the ACKed one, are contiguous and
-    form one loss event of that many packets.
+    """Wrap ``sender.on_feedback`` so each call checks that its seq is
+    above the flow's previous report, and that the seqs it declares lost,
+    all it removes but the ACKed one, are contiguous and form one loss
+    event of that many packets.
 
     The ``fb`` events bind ``on_feedback`` when they are scheduled, in
     ``try_send``, so this must run before the simulation starts.
     """
     on_feedback = sender.on_feedback
+    last_reported = [-1]
 
     def checked(seq, sent_at):
+        # the premise of the loss rule: reports arrive in seq order
+        assert seq > last_reported[0]
+        last_reported[0] = seq
         before = set(sender.outstanding)
         rows = len(sender.trace)
         on_feedback(seq, sent_at)

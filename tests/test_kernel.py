@@ -109,6 +109,15 @@ def test_rng_substreams_independent():
     assert [a2.random() for _ in range(5)] == seq1
 
 
+def test_rng_substream_starts_afresh_on_each_call():
+    stream = RngStream(5)
+    first = stream.substream("loss")
+    drawn = [first.random() for _ in range(3)]
+    again = stream.substream("loss")
+    assert again is not first
+    assert [again.random() for _ in range(3)] == drawn
+
+
 def test_rng_same_seed_same_draws():
     s1 = RngStream(9).substream("loss")
     s2 = RngStream(9).substream("loss")
