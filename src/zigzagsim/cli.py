@@ -197,7 +197,7 @@ def validate_loss_model(p, q, packet_count, seed, report=print):
     the documented tolerances of p/(p+q) and 1/q.
     """
     if packet_count < 10 ** 5:
-        raise ValueError("packet_count must be >= 10^5")
+        raise ValueError(f"--n must be >= 10^5, got {packet_count}")
     model = loss_models.GilbertElliottModel(p, q)
     # raises for q = 0 before any draw, so p + q > 0 below
     analytic_burst = loss_models.mean_burst_length(q)

@@ -70,27 +70,44 @@ def mean_burst_length(q):
 
 
 def simulate_trace(model, rng, count):
-    """Drive ``model`` for ``count`` packets; return the list of drop flags."""
-    drop = model.should_drop
-    return [drop(rng) for _ in range(count)]
+    """Drive ``model`` for ``count`` packets; return a bytearray of 0/1 drop
+    flags.
+
+    Makes the draws ``count`` calls to ``should_drop`` would make, from the
+    model's current state, and leaves the model in the final state.
+    """
+    flags = bytearray(count)
+    rand = rng.random
+    if isinstance(model, GilbertElliottModel):
+        # should_drop's chain rule, with the state as a bool (True is Bad)
+        p, q = model.p, model.q
+        bad = model.state == BAD
+        for i in range(count):
+            bad = rand() >= q if bad else rand() < p
+            if bad:
+                flags[i] = 1
+        model.state = BAD if bad else GOOD
+    else:
+        plr = model.plr
+        for i in range(count):
+            if rand() < plr:
+                flags[i] = 1
+    return flags
 
 
 def trace_statistics(drops):
-    """Empirical PLR, mean burst length and P(drop | previous drop) of a trace."""
+    """Empirical PLR, mean burst length and P(drop | previous drop) of a
+    trace of 0/1 drop flags (bytes or bytearray)."""
     n = len(drops)
-    losses = sum(drops)
-    bursts = 0
-    prev = False
-    for d in drops:
-        if d and not prev:
-            bursts += 1
-        prev = d
+    losses = drops.count(1)
+    # a burst starts at each 0 -> 1 step, and at a leading drop
+    bursts = drops.count(b"\x00\x01") + drops.startswith(b"\x01")
     # every drop starts a burst or follows a drop
     repeat = losses - bursts
     plr = losses / n if n else 0.0
     mean_burst = losses / bursts if bursts else 0.0
     # conditional drop frequency given the previous packet dropped
-    prior = losses - (1 if drops and drops[-1] else 0)
+    prior = losses - drops.endswith(b"\x01")
     cond = repeat / prior if prior else 0.0
     return {
         "packets": n,

@@ -307,9 +307,11 @@ class TestValidateLoss:
                          "--n", "100000"]) == 0
         assert "z-score        n/a" in capsys.readouterr().out
 
-    def test_small_sample_rejected(self):
+    def test_small_sample_rejected(self, capsys):
         assert cli.main(["validate-loss", "--p", "0.01", "--q", "0.5",
                          "--n", "1000"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --n must be >= 10^5, got 1000\n"
 
     def test_out_of_range_probability_rejected(self):
         # p = q = 0 has no steady state and no finite burst

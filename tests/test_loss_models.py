@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zigzagsim.kernel import RngStream
 from zigzagsim.loss import (BAD, GOOD, GilbertElliottModel, InfiniteBurstError,
@@ -19,6 +20,114 @@ class FixedRng:
 
     def random(self):
         return self.values.pop(0)
+
+
+class CoarseRng:
+    """A seeded substream rounded down to eighths: its draws often equal a
+    threshold on the same grid, where ``<`` and ``<=`` part ways."""
+
+    def __init__(self, seed):
+        self._random = rng(seed=seed).random
+
+    def random(self):
+        return int(self._random() * 8) / 8
+
+
+# probabilities on the eighths grid (0 and 1 included) or anywhere in [0, 1]
+PROB = st.one_of(st.sampled_from([i / 8 for i in range(9)]),
+                 st.floats(0.0, 1.0))
+
+
+def reference_statistics(drops):
+    """trace_statistics as one loop over the flags, kept as an oracle."""
+    n = len(drops)
+    losses = sum(drops)
+    bursts = 0
+    prev = False
+    for d in drops:
+        if d and not prev:
+            bursts += 1
+        prev = d
+    repeat = losses - bursts
+    plr = losses / n if n else 0.0
+    mean_burst = losses / bursts if bursts else 0.0
+    prior = losses - (1 if drops and drops[-1] else 0)
+    cond = repeat / prior if prior else 0.0
+    return {
+        "packets": n,
+        "losses": losses,
+        "plr": plr,
+        "bursts": bursts,
+        "mean_burst": mean_burst,
+        "p_drop_given_drop": cond,
+    }
+
+
+class TestBulkDraws:
+    """simulate_trace makes exactly the draws per-packet should_drop makes,
+    from and back into the model's state."""
+
+    @staticmethod
+    def assert_bulk_matches(make, seed, coarse, before, count, after):
+        def source():
+            return CoarseRng(seed) if coarse else rng(seed=seed)
+
+        model, draws = make(), source()
+        head = [model.should_drop(draws) for _ in range(before)]
+        flags = simulate_trace(model, draws, count)
+        bulk_state = model.state
+        tail = [model.should_drop(draws) for _ in range(after)]
+
+        ref, ref_draws = make(), source()
+        assert head == [ref.should_drop(ref_draws) for _ in range(before)]
+        ref_flags = [ref.should_drop(ref_draws) for _ in range(count)]
+        assert bytes(flags) == bytes(ref_flags)
+        assert bulk_state == ref.state
+        # should_drop after a bulk draw continues the same chain
+        assert tail == [ref.should_drop(ref_draws) for _ in range(after)]
+        assert model.state == ref.state
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(p=PROB, q=PROB, seed=st.integers(0, 2 ** 32),
+           coarse=st.booleans(), before=st.integers(0, 30),
+           count=st.integers(0, 5000), after=st.integers(0, 30))
+    def test_gilbert(self, p, q, seed, coarse, before, count, after):
+        self.assert_bulk_matches(lambda: GilbertElliottModel(p, q), seed,
+                                 coarse, before, count, after)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(plr=PROB, seed=st.integers(0, 2 ** 32), coarse=st.booleans(),
+           before=st.integers(0, 30), count=st.integers(0, 5000),
+           after=st.integers(0, 30))
+    def test_uniform(self, plr, seed, coarse, before, count, after):
+        self.assert_bulk_matches(lambda: UniformLossModel(plr), seed,
+                                 coarse, before, count, after)
+
+    def test_flags_are_bytes(self):
+        flags = simulate_trace(GilbertElliottModel(0.1, 0.4), rng(), 1000)
+        assert isinstance(flags, bytearray)
+        assert set(flags) == {0, 1}
+
+
+class TestTraceStatistics:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.booleans(), max_size=300))
+    @example([])
+    @example([True] * 50)
+    @example([True])
+    @example([False] * 20 + [True] + [False] * 20)
+    @example([True, True, False, False, True, False, True, True])
+    def test_counts_match_reference_loop(self, drops):
+        want = reference_statistics(drops)
+        assert trace_statistics(bytes(drops)) == want
+        assert trace_statistics(bytearray(drops)) == want
+        # a list of bools gets an error or the same answer, never a miscount
+        # (list.count(b"\x00\x01") is 0)
+        try:
+            got = trace_statistics(drops)
+        except (AttributeError, TypeError, ValueError):
+            return
+        assert got == want
 
 
 class TestGilbert:
