@@ -8,6 +8,7 @@ relative one-way trip time (ROTT, approximated as RTT/2) against its
 exponential mean and deviation.
 """
 
+from array import array
 from dataclasses import dataclass
 
 BASELINE = "baseline"
@@ -187,11 +188,21 @@ class CongestionController:
         return cls
 
 
+# The text of a trace row: one %-conversion per TraceRecord field, in
+# field order.  TraceRecord.as_row and ControllerTrace.text both format
+# with it.  The string fields are fixed words (the constants above, "ack"
+# and "loss"), so none is quoted.
+FIELD_FORMATS = ("%.9f", "%d", "%.6f", "%s", "%s", "%s", "%d", "%.9f",
+                 "%.9f", "%.9f")
+ROW_FORMAT = ",".join(FIELD_FORMATS)
+
+
 @dataclass(slots=True)
 class TraceRecord:
     """One controller trace row; reproduces window-versus-time plots.
 
-    Slotted: one row is kept per ACK, so a row holds no instance dict.
+    Rows are stored as a ControllerTrace's columns; a TraceRecord is a
+    view of one row, built when the trace is iterated.
     """
 
     t: float
@@ -206,11 +217,79 @@ class TraceRecord:
     rott_dev: float
 
     def as_row(self):
-        """The row as one CSV line, without its terminator: the one
-        definition of a trace row's text.  The string fields are fixed
-        words (the constants above, "ack" and "loss"), so none is quoted.
-        """
-        return "%.9f,%d,%.6f,%s,%s,%s,%d,%.9f,%.9f,%.9f" % (
+        """The row as one CSV line, without its terminator."""
+        return ROW_FORMAT % (
             self.t, self.flow_id, self.cwnd, self.phase, self.event_type,
             self.loss_class, self.n, self.rott_i, self.rott_mean,
             self.rott_dev)
+
+
+# (phase, event_type, loss_class) of every row a controller can trace; a
+# row stores its kind's index in one byte
+ROW_KINDS = tuple((phase, event, cls)
+                  for event, cls in (("ack", ""), ("loss", WIRELESS),
+                                     ("loss", CONGESTION))
+                  for phase in (SLOW_START, CONGESTION_AVOIDANCE))
+KIND_CODES = {kind: code for code, kind in enumerate(ROW_KINDS)}
+# the kinds of row that may shrink cwnd under either policy
+HALVING_CODES = frozenset(KIND_CODES[phase, "loss", CONGESTION]
+                          for phase in (SLOW_START, CONGESTION_AVOIDANCE))
+
+
+class ControllerTrace:
+    """One flow's controller trace, kept as typed columns.
+
+    A row is 5 doubles (t, cwnd and the ROTT sample, mean and deviation),
+    its kind code and its n; the flow id is stored once.  Iterating yields
+    TraceRecord views; the trace hash, the CSV writer and the halving
+    check read the columns.
+    """
+
+    __slots__ = ("flow_id", "t", "cwnd", "kind", "n", "rott_i", "rott_mean",
+                 "rott_dev")
+
+    def __init__(self, flow_id):
+        self.flow_id = flow_id
+        self.t = array("d")
+        self.cwnd = array("d")
+        self.kind = bytearray()
+        self.n = array("q")
+        self.rott_i = array("d")
+        self.rott_mean = array("d")
+        self.rott_dev = array("d")
+
+    def append(self, t, cwnd, phase, event_type, loss_class, n, rott_i,
+               rott_mean, rott_dev):
+        self.t.append(t)
+        self.cwnd.append(cwnd)
+        self.kind.append(KIND_CODES[phase, event_type, loss_class])
+        self.n.append(n)
+        self.rott_i.append(rott_i)
+        self.rott_mean.append(rott_mean)
+        self.rott_dev.append(rott_dev)
+
+    def __len__(self):
+        return len(self.t)
+
+    def _rows(self):
+        return zip(self.t, self.cwnd, self.kind, self.n, self.rott_i,
+                   self.rott_mean, self.rott_dev)
+
+    def __iter__(self):
+        flow_id = self.flow_id
+        for t, cwnd, kind, n, rott_i, mean, dev in self._rows():
+            phase, event, cls = ROW_KINDS[kind]
+            yield TraceRecord(t, flow_id, cwnd, phase, event, cls, n, rott_i,
+                              mean, dev)
+
+    def text(self, end):
+        """Every row's as_row text followed by ``end``, as one string."""
+        f = FIELD_FORMATS
+        # ROW_FORMAT + end per kind, with the flow id and the kind's words
+        # written in; the six columns fill the rest
+        formats = [",".join((f[0], f[1] % self.flow_id, f[2], *kind, f[6],
+                             f[7], f[8], f[9])) + end
+                   for kind in ROW_KINDS]
+        return "".join([formats[kind] % (t, cwnd, n, rott_i, mean, dev)
+                        for t, cwnd, kind, n, rott_i, mean, dev
+                        in self._rows()])

@@ -14,7 +14,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
-from .control import CongestionController, LossEvent, TraceRecord
+# TraceRecord is not used here but stays importable from this module: the
+# benchmark's tracer patches it by name
+from .control import (CongestionController, ControllerTrace, LossEvent,
+                      TraceRecord)
 from .kernel import RngStream, Simulator
 from .scenario import Scenario
 
@@ -133,7 +136,7 @@ class Sender:
             policy=scenario.policy, alpha=scenario.alpha,
             strict_n4=scenario.strict_n4,
             ssthresh=scenario.initial_ssthresh_pkts)
-        self.trace = []
+        self.trace = ControllerTrace(flow_id)
         self.stats = FlowStats()
         self.outstanding = {}  # seq -> sent_at, insertion = seq order
         # the DUP_THRESHOLD latest reported seqs, oldest first
@@ -220,9 +223,8 @@ class Sender:
         out.pop(seq, None)
         rott_i = ctrl.on_ack(now - sent_at, window_limited)
         est = ctrl.estimator
-        self.trace.append(TraceRecord(now, self.flow_id, ctrl.cwnd,
-                                      ctrl.phase, "ack", "", 0, rott_i,
-                                      est.mean, est.dev))
+        self.trace.append(now, ctrl.cwnd, ctrl.phase, "ack", "", 0, rott_i,
+                          est.mean, est.dev)
         # the outstanding seqs below the DUP_THRESHOLD-th latest report
         # are lost (no retransmission)
         reported = self._reported
@@ -249,9 +251,8 @@ class Sender:
         est = ctrl.estimator
         cls = ctrl.on_loss_event(LossEvent(n=n, rott_at_detection=rott_i),
                                  forced_congestion=forced)
-        self.trace.append(TraceRecord(self.sim.now, self.flow_id, ctrl.cwnd,
-                                      ctrl.phase, "loss", cls, n, rott_i,
-                                      est.mean, est.dev))
+        self.trace.append(self.sim.now, ctrl.cwnd, ctrl.phase, "loss", cls, n,
+                          rott_i, est.mean, est.dev)
 
     # -- timeout fallback ----------------------------------------------
 
@@ -320,7 +321,7 @@ class RunResult:
     scenario: Scenario
     flows: list            # FlowStats per flow
     controllers: list      # CongestionController per flow
-    traces: list           # list[TraceRecord] per flow
+    traces: list           # ControllerTrace per flow
     loss_trace: list       # (packet_index, dropped, state) on the wireless link
     queue_drop_log: list   # (time, flow_id, seq)
     events_dispatched: int = 0
@@ -360,6 +361,8 @@ class Network:
     def run(self):
         horizon = self.scenario.duration_s
         self.sim.run_until(horizon)
+        # what is still queued is due after the horizon and never runs
+        self.sim.drop_pending()
         for sender in self.senders:
             sender.generate_until(horizon)
         return RunResult(

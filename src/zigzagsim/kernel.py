@@ -57,6 +57,15 @@ class Simulator:
         self.dispatched += count
         return count
 
+    def drop_pending(self):
+        """Discard every queued event.
+
+        An action often holds its owner, which holds this simulator, so
+        a finished run is freed by reference counting alone only once
+        the events it will never run are gone.
+        """
+        self._queue.clear()
+
 
 class RngStream:
     """One 64-bit scenario seed fanned out into named independent sub-streams.

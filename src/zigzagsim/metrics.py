@@ -4,7 +4,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .control import TraceRecord
+from .control import HALVING_CODES, TraceRecord
 from .harness import WIRELESS_BANDWIDTH_BPS
 
 
@@ -61,7 +61,7 @@ def controller_trace_hash(result):
     """Stable digest of all controller trace rows, for determinism checks."""
     h = hashlib.sha256()
     for trace in result.traces:
-        h.update("".join([rec.as_row() + "\n" for rec in trace]).encode())
+        h.update(trace.text("\n").encode())
     return h.hexdigest()
 
 
@@ -115,13 +115,11 @@ def count_halve_violations(result):
     """
     violations = 0
     for trace in result.traces:
-        prev_cwnd = None
-        for rec in trace:
-            if prev_cwnd is not None and rec.cwnd < prev_cwnd - 1e-12:
-                ok = rec.event_type == "loss" and rec.loss_class == "congestion"
-                if not ok:
-                    violations += 1
-            prev_cwnd = rec.cwnd
+        cwnd = trace.cwnd
+        # each row against the row before it
+        violations += sum(
+            1 for prev, now, kind in zip(cwnd, cwnd[1:], trace.kind[1:])
+            if now < prev - 1e-12 and kind not in HALVING_CODES)
     return violations
 
 
@@ -187,8 +185,7 @@ def write_series_csv(path, series):
 
 def write_controller_trace_csv(path, result):
     _write_csv(path, [f.name for f in fields(TraceRecord)], (
-        "".join([rec.as_row() + "\r\n" for rec in trace])
-        for trace in result.traces))
+        trace.text("\r\n") for trace in result.traces))
 
 
 def write_summary_csv(path, rows):

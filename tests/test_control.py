@@ -270,7 +270,7 @@ class TestCongestionController:
 
 class TestTraceRecord:
     def test_row_has_no_instance_dict(self):
-        # one row is kept per ACK; slots keep each row small
+        # iterating a trace builds one view per row; slots keep it small
         row = TraceRecord(1.0, 0, 10.0, "slow_start", "ack", "", 0, 0.3,
                           0.3, 0.0)
         assert not hasattr(row, "__dict__")

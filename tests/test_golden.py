@@ -26,6 +26,7 @@ the same bytes.
 """
 
 import hashlib
+import sys
 from collections import Counter
 
 import pytest
@@ -116,3 +117,16 @@ def test_golden_pair(policy, tmp_path):
     metrics.write_series_csv(series_path, metrics.throughput_series(result))
     assert file_sha256(trace_path) == golden["trace_csv_sha256"]
     assert file_sha256(series_path) == golden["series_csv_sha256"]
+
+
+def test_trace_stores_at_most_64_bytes_per_row():
+    """A controller trace keeps its rows as typed columns: five doubles, a
+    kind byte and n, with the flow id stored once."""
+    result = Network(SCENARIO.with_policy("zigzag")).run()
+    rows = sum(len(trace) for trace in result.traces)
+    stored = sum(sys.getsizeof(trace)
+                 + sum(sys.getsizeof(getattr(trace, name))
+                       for name in trace.__slots__)
+                 for trace in result.traces)
+    assert rows > 1000
+    assert stored / rows <= 64

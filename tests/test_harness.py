@@ -1,5 +1,8 @@
+import gc
 import math
 import re
+import weakref
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -454,6 +457,32 @@ class TestRunFlowSet:
         assert result.congestion_events > 0
 
 
+class TestTeardown:
+    def test_run_freed_without_cyclic_gc(self):
+        """A finished run is freed by reference counting alone, so nothing
+        it leaves behind (the events due after the horizon included) holds
+        a sender or the simulator."""
+        sc = short_scenario(flow_count=2, aggregate_rate_bps=1.5e6,
+                            duration_s=30.0, warmup_s=0.0,
+                            loss=LossSpec("gilbert", p=0.05, q=0.5))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            net = Network(sc)
+            result = net.run()
+            assert sum(fs.wireless_drops for fs in result.flows) > 0
+            # a flow with packets out has its rto event still queued
+            assert sum(in_flight_at_horizon(fs) for fs in result.flows) > 0
+            sender = weakref.ref(net.senders[0])
+            sim = weakref.ref(net.sim)
+            del net, result
+            assert sender() is None
+            assert sim() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 # one value per field that Scenario.validate must reject, naming the field
 INVALID = {
     "flow_count": (0, -1),
@@ -526,7 +555,8 @@ def check_loss_events_per_feedback(sender):
         rows = len(sender.trace)
         on_feedback(seq, sent_at)
         lost = sorted(before - set(sender.outstanding) - {seq})
-        losses = [r.n for r in sender.trace[rows:] if r.event_type == "loss"]
+        losses = [r.n for r in islice(sender.trace, rows, None)
+                  if r.event_type == "loss"]
         if lost:
             assert lost == list(range(lost[0], lost[-1] + 1))
             assert losses == [len(lost)]

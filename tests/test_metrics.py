@@ -4,9 +4,10 @@ import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zigzagsim import metrics
-from zigzagsim.control import TraceRecord
+from zigzagsim.control import ControllerTrace, TraceRecord
 from zigzagsim.harness import run_scenario
 from zigzagsim.scenario import LossSpec, Scenario
 
@@ -122,17 +123,29 @@ class TestSeries:
         assert abs(window_bits / 100.0 - scalar) <= bucket_quantum
 
 
+class Traces:
+    """A stand-in run result holding only controller traces."""
+
+    def __init__(self, *traces):
+        self.traces = list(traces)
+
+
+def trace_of(flow_id, rows):
+    """A ControllerTrace filled through the append the harness calls."""
+    trace = ControllerTrace(flow_id)
+    for row in rows:
+        trace.append(*row)
+    return trace
+
+
 class TestHalveViolations:
     def test_detects_synthetic_violation(self):
-        class Fake:
-            traces = [[
-                TraceRecord(1.0, 0, 10.0, "congestion_avoidance", "ack", "",
-                            0, 0.3, 0.3, 0.0),
-                TraceRecord(2.0, 0, 5.0, "congestion_avoidance", "loss",
-                            "wireless", 1, 0.3, 0.3, 0.0),
-            ]]
-
-        assert metrics.count_halve_violations(Fake()) == 1
+        trace = trace_of(0, [
+            (1.0, 10.0, "congestion_avoidance", "ack", "", 0, 0.3, 0.3, 0.0),
+            (2.0, 5.0, "congestion_avoidance", "loss", "wireless", 1, 0.3,
+             0.3, 0.0),
+        ])
+        assert metrics.count_halve_violations(Traces(trace)) == 1
 
     def test_clean_run_has_none(self):
         baseline, zigzag = run_pair(
@@ -176,6 +189,10 @@ class TestCsvWriters:
             == "flow_count,loss_kind,plr_pct,aggregate_rate_bps,policy,seed," \
             "mean_throughput_bps,bw_utilization_pct,congestion_events," \
             "wireless_events,queue_drops,wireless_drops"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1e-10, -1e-10, 2.5e300, math.inf, -math.inf,
+                  math.nan]
 
 
 def csv_bytes(rows):
@@ -294,15 +311,79 @@ class TestCsvBytes:
                 == pytest.approx(tput, abs=1e-3)
             assert int(read["wireless_events"]) == result.wireless_events
 
-    @pytest.mark.parametrize("x", [0.0, -0.0, 1e-10, -1e-10, 2.5e300,
-                                   math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("x", SPECIAL_FLOATS)
     def test_trace_row_special_floats(self, x, tmp_path):
         rec = TraceRecord(x, 0, x, "slow_start", "ack", "", 0, x, x, x)
         path = tmp_path / "trace.csv"
-
-        class One:
-            traces = [[rec]]
-
-        metrics.write_controller_trace_csv(path, One())
+        trace = trace_of(0, [(x, x, "slow_start", "ack", "", 0, x, x, x)])
+        metrics.write_controller_trace_csv(path, Traces(trace))
         header = [f.name for f in fields(TraceRecord)]
         assert path.read_bytes() == csv_bytes([header, trace_fields(rec)])
+
+
+# cwnd values at and around the halving check's 1e-12 tolerance
+NEAR_FLOATS = [2.0, 5.0, 5.0 - 1e-12, 5.0 - 2e-12, 10.0]
+# every (phase, event_type, loss_class) a controller traces
+ROW_KINDS = [(phase, event, cls)
+             for phase in ("slow_start", "congestion_avoidance")
+             for event, cls in (("ack", ""), ("loss", "wireless"),
+                                ("loss", "congestion"))]
+
+
+def row_floats(extra=()):
+    return st.sampled_from(SPECIAL_FLOATS + list(extra)) | st.floats()
+
+
+trace_rows = st.lists(st.tuples(
+    row_floats(), row_floats(NEAR_FLOATS), st.sampled_from(ROW_KINDS),
+    st.integers(0, 2 ** 63 - 1), row_floats(), row_floats(), row_floats()),
+    max_size=40)
+
+
+def halve_violations_oracle(result):
+    """count_halve_violations as it read TraceRecords, row by row."""
+    violations = 0
+    for trace in result.traces:
+        prev_cwnd = None
+        for rec in trace:
+            if prev_cwnd is not None and rec.cwnd < prev_cwnd - 1e-12:
+                ok = rec.event_type == "loss" and rec.loss_class == "congestion"
+                if not ok:
+                    violations += 1
+            prev_cwnd = rec.cwnd
+    return violations
+
+
+def field_reprs(rec):
+    # repr tells -0.0 from 0.0 and matches nan with nan, as == does not
+    return [repr(getattr(rec, f.name)) for f in fields(TraceRecord)]
+
+
+class TestControllerTraceColumns:
+    """The columns against the TraceRecords they stand for: the views, the
+    text and the halving check, over every row kind, special floats and
+    large n."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 6), trace_rows),
+                    min_size=1, max_size=3))
+    def test_columns_match_records(self, flows):
+        traces, expected = [], []
+        for flow_id, rows in flows:
+            traces.append(trace_of(flow_id, [
+                (t, cwnd, *kind, n, rott_i, mean, dev)
+                for t, cwnd, kind, n, rott_i, mean, dev in rows]))
+            expected.append([
+                TraceRecord(t, flow_id, cwnd, *kind, n, rott_i, mean, dev)
+                for t, cwnd, kind, n, rott_i, mean, dev in rows])
+        for trace, records in zip(traces, expected):
+            views = list(trace)
+            assert len(trace) == len(views) == len(records)
+            assert all(type(view) is TraceRecord for view in views)
+            assert [field_reprs(v) for v in views] \
+                == [field_reprs(r) for r in records]
+            for end in ("\n", "\r\n"):
+                assert trace.text(end) \
+                    == "".join([rec.as_row() + end for rec in records])
+        assert metrics.count_halve_violations(Traces(*traces)) \
+            == halve_violations_oracle(Traces(*expected))
