@@ -10,10 +10,12 @@ so it is modeled as a fixed latency, and a packet's delivery and its
 feedback time are both known when it is sent.
 """
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
+from . import loss
 # TraceRecord is not used here but stays importable from this module: the
 # benchmark's tracer patches it by name
 from .control import (CongestionController, ControllerTrace, LossEvent,
@@ -38,6 +40,41 @@ IN_FLIGHT = "in flight"
 QUEUE_DROP = "queue"
 WIRELESS_DROP = "wireless"
 
+# wireless drop flags drawn from the loss model at a time.  Drawing ahead
+# is exact: the path's "loss" substream feeds nothing else, and
+# loss.simulate_trace makes the draws should_drop would make.
+DRAW_CHUNK = 4096
+
+
+class LossTrace:
+    """The wireless hop's drop flags, one byte per loss draw.
+
+    ``flags`` may run ahead of the packets drawn so far, which are its
+    first ``n`` bytes.  Slicing gives those bytes; iterating yields
+    (packet_index, dropped, model_state) tuples.  The state is "bad"
+    exactly when a Gilbert draw drops (its chain drops in Bad and only
+    there), and "good" otherwise.
+    """
+
+    __slots__ = ("flags", "n", "drop_state")
+
+    def __init__(self, model):
+        self.flags = bytearray()
+        self.n = 0
+        gilbert = isinstance(model, loss.GilbertElliottModel)
+        self.drop_state = loss.BAD if gilbert else loss.GOOD
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, index):
+        return bytes(self.flags[:self.n])[index]
+
+    def __iter__(self):
+        drop_state = self.drop_state
+        for i, dropped in enumerate(self.flags[:self.n]):
+            yield i, dropped, drop_state if dropped else loss.GOOD
+
 
 class ForwardPath:
     """The data path n0 -> n1 -> n2 that every sender shares.
@@ -47,9 +84,10 @@ class ForwardPath:
     Queue admission and the loss draw therefore run at send time, at the
     computed arrival time, and still happen in arrival order.  Queue
     occupancy counts packets waiting plus the one in service; arrivals to
-    a full queue are dropped (the congestion losses).  The loss model is
-    consulted once per admitted packet; a wireless drop still consumes
-    airtime but never arrives.
+    a full queue are dropped (the congestion losses).  Each admitted
+    packet reads the next drop flag, drawn from the loss model DRAW_CHUNK
+    flags at a time; a wireless drop still consumes airtime but never
+    arrives.
     """
 
     def __init__(self, capacity, loss_model, rng, horizon_s):
@@ -60,7 +98,7 @@ class ForwardPath:
         self.wired_busy_until = 0.0
         self._departures = deque()  # wireless transmission-complete times
         self.queue_drop_log = []    # (arrival time, flow_id, seq)
-        self.loss_trace = []        # (packet_index, dropped, model_state)
+        self.loss_trace = LossTrace(loss_model)
 
     def send(self, now, flow_id, seq, size_bytes):
         """Send one packet from n0 at ``now``.
@@ -88,12 +126,16 @@ class ForwardPath:
         start = dep[-1] if dep else arrival
         done = start + size_bytes * 8.0 / WIRELESS_BANDWIDTH_BPS
         dep.append(done)
-        model = self.loss_model
-        if model is not None:
-            dropped = model.should_drop(self.rng)
-            self.loss_trace.append((len(self.loss_trace), 1 if dropped else 0,
-                                    model.state))
-            if dropped:
+        if self.loss_model is not None:
+            trace = self.loss_trace
+            n = trace.n
+            flags = trace.flags
+            if n == len(flags):
+                # through the module, where the benchmark's tracer wraps it
+                flags += loss.simulate_trace(self.loss_model, self.rng,
+                                             DRAW_CHUNK)
+            trace.n = n + 1
+            if flags[n]:
                 return WIRELESS_DROP
         delivery = done + WIRELESS_DELAY_S
         return delivery if delivery <= self.horizon_s else IN_FLIGHT
@@ -107,7 +149,7 @@ class FlowStats:
     wireless_drops: int = 0
     timeouts: int = 0
     generated: int = 0
-    delivery_times: list = field(default_factory=list)
+    delivery_times: array = field(default_factory=partial(array, "d"))
 
 
 class Sender:
@@ -322,7 +364,7 @@ class RunResult:
     flows: list            # FlowStats per flow
     controllers: list      # CongestionController per flow
     traces: list           # ControllerTrace per flow
-    loss_trace: list       # (packet_index, dropped, state) on the wireless link
+    loss_trace: LossTrace  # one drop flag per draw on the wireless link
     queue_drop_log: list   # (time, flow_id, seq)
     events_dispatched: int = 0
 
@@ -363,8 +405,14 @@ class Network:
         self.sim.run_until(horizon)
         # what is still queued is due after the horizon and never runs
         self.sim.drop_pending()
+        # the finished records at their exact size: without the flags drawn
+        # ahead, or the delivery arrays' room to grow
+        trace = self.path.loss_trace
+        trace.flags = trace.flags[:trace.n]
         for sender in self.senders:
             sender.generate_until(horizon)
+            stats = sender.stats
+            stats.delivery_times = stats.delivery_times[:]
         return RunResult(
             scenario=self.scenario,
             flows=[s.stats for s in self.senders],

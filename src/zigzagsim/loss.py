@@ -49,7 +49,6 @@ class UniformLossModel:
         if not (0.0 <= plr <= 1.0):
             raise ValueError(f"plr must be in [0,1], got {plr}")
         self.plr = plr
-        self.state = GOOD  # fixed; kept so loss traces share one schema
 
     def should_drop(self, rng):
         return rng.random() < self.plr

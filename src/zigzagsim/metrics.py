@@ -12,20 +12,27 @@ class PairingError(ValueError):
     """Baseline/zig-zag runs must share scenario, seed and loss pattern."""
 
 
-def mean_throughput(delivery_times, packet_size_bytes, warmup_s, duration_s):
-    """Delivered payload bits in (warmup, duration], over the window length."""
+def _window_throughput(flow_times, packet_size_bytes, warmup_s, duration_s):
+    """Payload bits delivered in (warmup, duration], over the window length,
+    from each flow's delivery times, counted flow by flow."""
     if duration_s <= warmup_s:
         raise ValueError("duration must exceed warm-up")
-    bits = sum(1 for t in delivery_times if warmup_s < t <= duration_s) \
-        * packet_size_bytes * 8
-    return bits / (duration_s - warmup_s)
+    delivered = sum(sum(1 for t in times if warmup_s < t <= duration_s)
+                    for times in flow_times)
+    return delivered * packet_size_bytes * 8 / (duration_s - warmup_s)
+
+
+def mean_throughput(delivery_times, packet_size_bytes, warmup_s, duration_s):
+    """Delivered payload bits in (warmup, duration], over the window length."""
+    return _window_throughput([delivery_times], packet_size_bytes, warmup_s,
+                              duration_s)
 
 
 def run_mean_throughput(result):
     sc = result.scenario
-    times = [t for fs in result.flows for t in fs.delivery_times]
-    return mean_throughput(times, sc.packet_size_bytes, sc.warmup_s,
-                           sc.duration_s)
+    return _window_throughput([fs.delivery_times for fs in result.flows],
+                              sc.packet_size_bytes, sc.warmup_s,
+                              sc.duration_s)
 
 
 def throughput_increase_pct(zigzag_bps, baseline_bps):
@@ -77,7 +84,8 @@ def wireless_loss_prefix_equal(a, b):
     """True iff the two runs saw the same wireless drop pattern.
 
     The paired runs transmit different packet counts, so the traces are
-    compared over their common prefix of the shared drop stream.
+    compared over their common prefix of the shared drop stream; a slice
+    of a loss trace is its drop flags as bytes.
     """
     n = min(len(a.loss_trace), len(b.loss_trace))
     return a.loss_trace[:n] == b.loss_trace[:n]

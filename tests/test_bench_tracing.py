@@ -1,9 +1,11 @@
-"""The benchmark's tracer still fits the program.
+"""The benchmark's tracer and checks still fit the program.
 
 ``bench/tracing.py`` wraps entry points of every layer by name, so renaming
 one of them in ``src/`` breaks the benchmark's ``--trace 1`` runs.  This
 test instruments the package, runs one short scenario through it and
-undoes the patches, as the benchmark does.
+undoes the patches, as the benchmark does.  The benchmark's checks read a
+run's records (loss trace, delivery times, controller traces) as they find
+them, so a second test runs a short lossy pair through those checks.
 """
 
 import importlib
@@ -39,3 +41,21 @@ def test_instrument_and_undo(monkeypatch):
     assert counts["harness.delivered"] == delivered > 0
     assert counts["kernel.events.fb"] > 0
     assert counts["kernel.events.wless"] == counts["kernel.events.link"] == 0
+
+
+def test_checks_read_the_run_records(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    sc = Scenario(flow_count=3, aggregate_rate_bps=1.5e6, duration_s=20.0,
+                  warmup_s=0.0, loss=LossSpec("gilbert", p=0.05, q=0.5))
+    baseline, zigzag = (harness.run_scenario(sc.with_policy(policy))
+                        for policy in ("baseline", "zigzag"))
+    for result in (baseline, zigzag):
+        assert sum(fs.wireless_drops for fs in result.flows) > 0
+        errors, congestion, _ = workloads.check_run(result,
+                                                    result.scenario.policy)
+        assert errors == []
+        assert congestion > 0
+    assert checks.check_prefix(baseline.loss_trace, zigzag.loss_trace,
+                               "pair") == []

@@ -20,6 +20,10 @@ events before).  The ``fb`` event now takes its insertion number at send
 time, which could reorder events that share a timestamp; every hash,
 total and other count is unchanged by that.
 
+The loss trace is hashed as the list of (packet_index, dropped, state)
+tuples its iteration yields, the list the wireless hop kept before it
+stored one byte per draw.
+
 The trace and series CSVs that ``run`` and ``matrix --out`` write are pinned
 by their sha256, so a writer that changes how it writes must still write
 the same bytes.
@@ -27,6 +31,7 @@ the same bytes.
 
 import hashlib
 import sys
+from array import array
 from collections import Counter
 
 import pytest
@@ -103,7 +108,7 @@ def test_golden_pair(policy, tmp_path):
     totals["loss_trace"] = len(result.loss_trace)
     assert metrics.controller_trace_hash(result) == golden["trace_hash"]
     assert metrics.delivery_hash(result) == golden["delivery_hash"]
-    assert digest(result.loss_trace) == golden["loss_trace_hash"]
+    assert digest(list(result.loss_trace)) == golden["loss_trace_hash"]
     assert digest(result.queue_drop_log) == golden["queue_drop_log_hash"]
     assert totals == golden["totals"]
     assert len(result.queue_drop_log) == totals["queue_drops"]
@@ -130,3 +135,18 @@ def test_trace_stores_at_most_64_bytes_per_row():
                  for trace in result.traces)
     assert rows > 1000
     assert stored / rows <= 64
+
+
+def test_loss_flags_and_delivery_times_are_packed():
+    """A finished run keeps one byte per wireless draw and one double per
+    delivery, without the flags drawn ahead or the arrays' room to grow."""
+    result = Network(SCENARIO.with_policy("zigzag")).run()
+    trace = result.loss_trace
+    draws = len(trace)
+    assert draws > 1000
+    assert (sys.getsizeof(trace) + sys.getsizeof(trace.flags)) / draws <= 1.1
+    empty = sys.getsizeof(array("d"))
+    deliveries = sum(fs.delivered for fs in result.flows)
+    assert deliveries > 1000
+    assert sum(sys.getsizeof(fs.delivery_times) - empty
+               for fs in result.flows) / deliveries <= 8

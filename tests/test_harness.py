@@ -1,7 +1,9 @@
 import gc
 import math
+import random
 import re
 import weakref
+from collections import deque
 from itertools import islice
 
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from zigzagsim import metrics
 from zigzagsim.control import MIN_SSTHRESH
-from zigzagsim.harness import (IN_FLIGHT, INITIAL_RTO_S, QUEUE_DROP,
-                               WIRED_BANDWIDTH_BPS, WIRED_DELAY_S,
+from zigzagsim.harness import (DRAW_CHUNK, IN_FLIGHT, INITIAL_RTO_S,
+                               QUEUE_DROP, WIRED_BANDWIDTH_BPS, WIRED_DELAY_S,
                                WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
                                WIRELESS_DROP, ForwardPath, Network, Sender,
                                run_scenario)
@@ -113,7 +115,7 @@ class TestBottleneckLink:
     def test_bad_state_packet_never_delivered(self):
         path = make_path(loss_model=UniformLossModel(1.0))
         assert path.send(0.0, 0, 0, 1000) is WIRELESS_DROP
-        assert path.loss_trace == [(0, 1, "good")]
+        assert list(path.loss_trace) == [(0, 1, "good")]
 
     def test_loss_trace_indexes_every_transmitted_packet(self):
         path = make_path(capacity=2, loss_model=UniformLossModel(0.0))
@@ -134,7 +136,7 @@ class TestBottleneckLink:
         sim.run_until(0.05)
         assert sender.stats.sent > 0
         assert sender.stats.queue_drops == sender.stats.wireless_drops == 0
-        assert path.loss_trace == [] and path.queue_drop_log == []
+        assert list(path.loss_trace) == [] and path.queue_drop_log == []
         assert path.send(0.05, 0, 99, 1000) is IN_FLIGHT
         # an arrival exactly at the horizon is still admitted
         on_time = make_path(loss_model=UniformLossModel(1.0),
@@ -145,7 +147,7 @@ class TestBottleneckLink:
         # and later, after the 0.2 s horizon
         drawn = make_path(loss_model=UniformLossModel(0.0), horizon_s=0.2)
         assert drawn.send(0.0, 0, 0, 1000) is IN_FLIGHT
-        assert drawn.loss_trace == [(0, 0, "good")]
+        assert list(drawn.loss_trace) == [(0, 0, "good")]
         for horizon_s in (0.2, make_path().send(0.0, 0, 0, 1000)):
             sim, sender = lone_sender(Scenario(
                 loss=LossSpec("uniform", plr=0.0), duration_s=horizon_s))
@@ -155,9 +157,105 @@ class TestBottleneckLink:
             assert fs.queue_drops == fs.wireless_drops == 0
             # a delivery exactly at the horizon still counts
             on_time = [] if horizon_s == 0.2 else [horizon_s]
-            assert fs.delivery_times == on_time
+            assert list(fs.delivery_times) == on_time
             assert fs.delivered == len(on_time)
             assert in_flight_at_horizon(fs) == 2 - len(on_time)
+
+
+class ReferencePath:
+    """ForwardPath as it was with one should_drop call and one
+    (packet_index, dropped, model_state) tuple per admitted packet, kept
+    as the oracle for the chunked draws.  A uniform draw's state is "good"."""
+
+    def __init__(self, capacity, loss_model, rng, horizon_s):
+        self.capacity = capacity
+        self.loss_model = loss_model
+        self.rng = rng
+        self.horizon_s = horizon_s
+        self.wired_busy_until = 0.0
+        self._departures = deque()
+        self.queue_drop_log = []
+        self.loss_trace = []
+
+    def send(self, now, flow_id, seq, size_bytes):
+        busy = self.wired_busy_until
+        start = busy if busy > now else now
+        done = start + size_bytes * 8.0 / WIRED_BANDWIDTH_BPS
+        self.wired_busy_until = done
+        arrival = done + WIRED_DELAY_S
+        if arrival > self.horizon_s:
+            return IN_FLIGHT
+        dep = self._departures
+        while dep and dep[0] <= arrival:
+            dep.popleft()
+        if len(dep) >= self.capacity:
+            self.queue_drop_log.append((arrival, flow_id, seq))
+            return QUEUE_DROP
+        start = dep[-1] if dep else arrival
+        done = start + size_bytes * 8.0 / WIRELESS_BANDWIDTH_BPS
+        dep.append(done)
+        model = self.loss_model
+        if model is not None:
+            dropped = model.should_drop(self.rng)
+            state = model.state if isinstance(model, GilbertElliottModel) \
+                else "good"
+            self.loss_trace.append((len(self.loss_trace), 1 if dropped else 0,
+                                    state))
+            if dropped:
+                return WIRELESS_DROP
+        delivery = done + WIRELESS_DELAY_S
+        return delivery if delivery <= self.horizon_s else IN_FLIGHT
+
+
+class CoarseRng:
+    """A seeded substream rounded down to eighths: its draws often equal a
+    threshold on the same grid, where ``<`` and ``<=`` part ways."""
+
+    def __init__(self, seed):
+        self._random = RngStream(seed).substream("loss").random
+
+    def random(self):
+        return int(self._random() * 8) / 8
+
+
+EIGHTHS = st.sampled_from([i / 8 for i in range(9)])
+
+
+class TestChunkedLossDraws:
+    """The path reads drop flags drawn DRAW_CHUNK at a time and gives the
+    outcomes, loss trace and queue-drop log of per-packet draws."""
+
+    HORIZON_S = 60.0
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(gilbert=st.booleans(), p=EIGHTHS, q=EIGHTHS,
+           capacity=st.integers(1, 5), seed=st.integers(0, 2 ** 32))
+    def test_matches_per_packet_reference(self, gilbert, p, q, capacity,
+                                          seed):
+        def model():
+            return GilbertElliottModel(p, q) if gilbert \
+                else UniformLossModel(p)
+
+        path = ForwardPath(capacity, model(), CoarseRng(seed), self.HORIZON_S)
+        ref = ReferencePath(capacity, model(), CoarseRng(seed),
+                            self.HORIZON_S)
+        # sends of mixed sizes and gaps from three flows, until a second
+        # past the horizon, so late arrivals and late deliveries occur too
+        schedule = random.Random(seed)
+        now, seq, outcomes, ref_outcomes = 0.0, 0, [], []
+        while now <= self.HORIZON_S + 1.0:
+            size_bytes = schedule.choice((40, 1000, 1000, 1500))
+            outcomes.append(path.send(now, seq % 3, seq, size_bytes))
+            ref_outcomes.append(ref.send(now, seq % 3, seq, size_bytes))
+            now += schedule.choice((0.0, 0.004, 0.008, 0.012))
+            seq += 1
+        assert len(ref.loss_trace) > DRAW_CHUNK
+        assert outcomes == ref_outcomes
+        assert list(path.loss_trace) == ref.loss_trace
+        assert len(path.loss_trace) == len(ref.loss_trace)
+        assert path.loss_trace[:] \
+            == bytes(dropped for _, dropped, _ in ref.loss_trace)
+        assert path.queue_drop_log == ref.queue_drop_log
 
 
 class TestLazyTimer:
@@ -376,7 +474,7 @@ class TestRunFlowSet:
         result = run_scenario(short_scenario(aggregate_rate_bps=1.0e6))
         assert all(fs.queue_drops == 0 and fs.wireless_drops == 0
                    for fs in result.flows)
-        assert result.loss_trace == []
+        assert list(result.loss_trace) == []
 
     def test_loss_disabled_all_drops_are_queue_drops(self):
         sc = short_scenario(flow_count=5, aggregate_rate_bps=1.5e6)
@@ -418,7 +516,8 @@ class TestRunFlowSet:
             seqs = [seq for seq, _ in delivered[flow_id]]
             assert len(seqs) == fs.delivered
             assert all(a < b for a, b in zip(seqs, seqs[1:]))
-            assert [t for _, t in delivered[flow_id]] == fs.delivery_times
+            assert [t for _, t in delivered[flow_id]] \
+                == list(fs.delivery_times)
 
     def test_throughput_approaches_offered_rate_without_loss(self):
         sc = Scenario(flow_count=1, aggregate_rate_bps=1.0e6,
@@ -432,9 +531,9 @@ class TestRunFlowSet:
                             loss=LossSpec("gilbert", p=0.01, q=0.5))
         a = run_scenario(sc)
         b = run_scenario(sc)
-        assert a.loss_trace == b.loss_trace
-        assert [fs.delivery_times for fs in a.flows] \
-            == [fs.delivery_times for fs in b.flows]
+        assert list(a.loss_trace) == list(b.loss_trace)
+        assert [list(fs.delivery_times) for fs in a.flows] \
+            == [list(fs.delivery_times) for fs in b.flows]
         assert a.events_dispatched == b.events_dispatched
 
     def test_counters_match_trace_loss_rows(self):
@@ -597,7 +696,7 @@ class TestScenarioFuzz:
             assert fs.generated >= fs.sent
             assert in_flight_at_horizon(fs) >= 0
             assert drop_flows.count(flow_id) == fs.queue_drops
-            times = fs.delivery_times
+            times = list(fs.delivery_times)
             assert len(times) == fs.delivered
             assert times == sorted(times)
             assert all(0.0 < t <= sc.duration_s for t in times)
