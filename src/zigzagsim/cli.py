@@ -11,6 +11,7 @@ import sys
 
 from . import loss as loss_models
 from . import metrics
+from .control import BASELINE, ZIGZAG
 from .harness import run_scenario
 from .kernel import RngStream
 from .scenario import (CONVERTERS, GILBERT, UNIFORM, LossSpec, Scenario,
@@ -137,8 +138,8 @@ def expand_matrix(spec):
 
 def run_pair(template, out_dir=None):
     """Run one scenario under both policies and summarize the pair."""
-    baseline = run_scenario(template.with_policy("baseline"))
-    zigzag = run_scenario(template.with_policy("zigzag"))
+    baseline = run_scenario(template.with_policy(BASELINE))
+    zigzag = run_scenario(template.with_policy(ZIGZAG))
     if out_dir is not None:
         _write_run_artifacts(out_dir, baseline)
         _write_run_artifacts(out_dir, zigzag)

@@ -14,6 +14,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from math import inf
 
 from . import loss
 # TraceRecord is not used here but stays importable from this module: the
@@ -163,8 +164,9 @@ class Sender:
     feedback times fire in send order), so a seq has DUP_THRESHOLD later
     packets reported exactly when it is below the DUP_THRESHOLD-th latest
     report: the seqs below it are declared lost as one loss event.  A
-    timer, one pending event per flow, declares everything stale as a
-    single congestion event when feedback dries up.
+    timer declares everything stale as a single congestion event when
+    feedback dries up; it costs an rto event only when the flow's own
+    feedback will not restart it first.
     """
 
     def __init__(self, sim, flow_id, scenario, path, receiver_delay_s,
@@ -183,10 +185,8 @@ class Sender:
         self.outstanding = {}  # seq -> sent_at, insertion = seq order
         # the DUP_THRESHOLD latest reported seqs, oldest first
         self._reported = deque([-1] * DUP_THRESHOLD, maxlen=DUP_THRESHOLD)
-        self.last_progress = 0.0
-        self._deadline = None    # timeout time; None while nothing is out
-        self._timer_at = None    # fire time of the pending rto event
-        self._timer_epoch = 0
+        self._deadline = inf  # timeout time; inf while nothing is out
+        self._timer_at = inf  # fire time of the live rto event, if any
         self._gen_interval = scenario.packet_size_bytes * 8.0 \
             / scenario.per_flow_rate_bps
         self._next_gen = start_time  # first CBR instant not yet generated
@@ -225,14 +225,11 @@ class Sender:
         send = self.path.send
         size_bytes = self.scenario.packet_size_bytes
         window = self.ctrl.allowed_in_flight()
+        was_idle = not out
         while stats.generated > stats.sent and len(out) < window:
             seq = stats.sent
             stats.sent += 1
-            was_idle = not out
             out[seq] = now
-            if was_idle:
-                self.last_progress = now
-                self._arm_timer()
             outcome = send(now, self.flow_id, seq, size_bytes)
             if outcome is QUEUE_DROP:
                 stats.queue_drops += 1
@@ -245,6 +242,8 @@ class Sender:
                 stats.delivery_times.append(outcome)
                 self.sim.schedule_at(outcome + self.receiver_delay_s,
                                      partial(self.on_feedback, seq, now), "fb")
+        if was_idle and out:
+            self._restart_timer()
         # a full window opens only in on_feedback or _on_timeout, which
         # generate and send first, so only a window with room needs a
         # wakeup at the next CBR instant
@@ -279,8 +278,7 @@ class Sender:
             lost.append(s)
         if lost:
             self._apply_loss_event(lost, rott_i, forced=False)
-        self.last_progress = now
-        self._arm_timer()
+        self._restart_timer()
         self.try_send()
 
     def _apply_loss_event(self, lost, rott_i, forced):
@@ -306,34 +304,35 @@ class Sender:
         rto = 4.0 * est.mean + 8.0 * est.dev
         return MIN_RTO_S if MIN_RTO_S > rto else rto
 
-    def _arm_timer(self):
-        """Move the timeout to ``last_progress + _rto()``.
+    def _restart_timer(self):
+        """Move the timeout to ``_rto()`` from now (RFC 6298 section 5)."""
+        now = self.sim.now
+        self._deadline = now + self._rto() if self.outstanding else inf
+        self._arm_timer(now)
 
-        One rto event is pending at a time.  A later deadline waits for it
-        to fire and re-arm; an earlier one schedules a new event and voids
-        the pending one by epoch.
+    def _arm_timer(self, now):
+        """Schedule an rto event at the deadline unless feedback comes first.
+
+        A flow's fb events fire in the order they were scheduled, at
+        non-decreasing times, so if the latest one is still due by the
+        deadline, the next one is too, and it restarts the timer.  A live
+        rto event due before the deadline re-arms when it fires.
         """
-        if not self.outstanding:
-            self._deadline = None
+        times = self.stats.delivery_times
+        deadline = self._deadline
+        if times and now < times[-1] + self.receiver_delay_s <= deadline:
             return
-        self._deadline = deadline = self.last_progress + self._rto()
-        if self._timer_at is None or deadline < self._timer_at:
-            self._schedule_timer(deadline)
+        if deadline < self._timer_at:
+            self._timer_at = deadline
+            self.sim.schedule_at(deadline, self._on_timer, "rto")
 
-    def _schedule_timer(self, at):
-        self._timer_epoch += 1
-        self._timer_at = at
-        self.sim.schedule_at(at, partial(self._on_timer, self._timer_epoch),
-                             "rto")
-
-    def _on_timer(self, epoch):
-        if epoch != self._timer_epoch:
-            return
-        self._timer_at = None
-        if self._deadline is None:
-            return
-        if self.sim.now < self._deadline:
-            self._schedule_timer(self._deadline)
+    def _on_timer(self):
+        now = self.sim.now
+        if now != self._timer_at:
+            return  # superseded by an earlier deadline
+        self._timer_at = inf
+        if now < self._deadline:
+            self._arm_timer(now)
         else:
             self._on_timeout()
 
@@ -343,9 +342,9 @@ class Sender:
         est = self.ctrl.estimator
         grace = 2.0 * est.mean if est.sample_count else DEFAULT_TIMEOUT_GRACE_S
         # never empty: the oldest outstanding packet was sent at or before
-        # last_progress, and the timer fires _rto() after that, which is at
-        # least grace (4 * mean >= 2 * mean, or 3.0 s against 0.7 s before
-        # the first sample)
+        # the timer's last restart, and the deadline is _rto() after that,
+        # which is at least grace (4 * mean >= 2 * mean, or 3.0 s against
+        # 0.7 s before the first sample)
         stale = [s for s, sent_at in self.outstanding.items()
                  if sent_at <= now - grace]
         self.stats.timeouts += 1
@@ -353,8 +352,7 @@ class Sender:
         # a silent window implies everything in it died: one event,
         # forced congestion
         self._apply_loss_event(stale, rott_i, forced=True)
-        self.last_progress = now
-        self._arm_timer()
+        self._restart_timer()
         self.try_send()
 
 

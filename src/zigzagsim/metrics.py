@@ -4,7 +4,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .control import HALVING_CODES, TraceRecord
+from .control import BASELINE, HALVING_CODES, ZIGZAG, TraceRecord
 from .harness import WIRELESS_BANDWIDTH_BPS
 
 
@@ -12,27 +12,17 @@ class PairingError(ValueError):
     """Baseline/zig-zag runs must share scenario, seed and loss pattern."""
 
 
-def _window_throughput(flow_times, packet_size_bytes, warmup_s, duration_s):
-    """Payload bits delivered in (warmup, duration], over the window length,
-    from each flow's delivery times, counted flow by flow."""
+def run_mean_throughput(result):
+    """Payload bits the run's flows delivered in (warmup, duration], over
+    the window length, counted flow by flow."""
+    sc = result.scenario
+    warmup_s, duration_s = sc.warmup_s, sc.duration_s
     if duration_s <= warmup_s:
         raise ValueError("duration must exceed warm-up")
-    delivered = sum(sum(1 for t in times if warmup_s < t <= duration_s)
-                    for times in flow_times)
-    return delivered * packet_size_bytes * 8 / (duration_s - warmup_s)
-
-
-def mean_throughput(delivery_times, packet_size_bytes, warmup_s, duration_s):
-    """Delivered payload bits in (warmup, duration], over the window length."""
-    return _window_throughput([delivery_times], packet_size_bytes, warmup_s,
-                              duration_s)
-
-
-def run_mean_throughput(result):
-    sc = result.scenario
-    return _window_throughput([fs.delivery_times for fs in result.flows],
-                              sc.packet_size_bytes, sc.warmup_s,
-                              sc.duration_s)
+    delivered = sum(sum(1 for t in fs.delivery_times
+                        if warmup_s < t <= duration_s)
+                    for fs in result.flows)
+    return delivered * sc.packet_size_bytes * 8 / (duration_s - warmup_s)
 
 
 def throughput_increase_pct(zigzag_bps, baseline_bps):
@@ -135,8 +125,8 @@ def summarize(baseline, zigzag):
     """Fold one paired (baseline, zig-zag) run into a summary row."""
     if baseline.scenario.key() != zigzag.scenario.key():
         raise PairingError("runs do not share a scenario")
-    if baseline.scenario.policy != "baseline" \
-            or zigzag.scenario.policy != "zigzag":
+    if baseline.scenario.policy != BASELINE \
+            or zigzag.scenario.policy != ZIGZAG:
         raise PairingError("expected one baseline run and one zigzag run")
     if not wireless_loss_prefix_equal(baseline, zigzag):
         raise PairingError("wireless loss traces diverge; seeds differ?")

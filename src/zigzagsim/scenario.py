@@ -4,7 +4,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from . import loss as loss_models
-from .control import DEFAULT_ALPHA, INITIAL_SSTHRESH, MIN_SSTHRESH
+from .control import (BASELINE, DEFAULT_ALPHA, INITIAL_SSTHRESH,
+                      MIN_SSTHRESH, ZIGZAG)
 
 GILBERT = "gilbert"
 UNIFORM = "uniform"
@@ -55,7 +56,7 @@ class Scenario:
     flow_count: int = 1
     aggregate_rate_bps: float = 1.0e6
     loss: LossSpec = field(default_factory=LossSpec)
-    policy: str = "baseline"
+    policy: str = BASELINE
     duration_s: float = 500.0
     seed: int = 1
     queue_capacity_pkts: int = 50
@@ -75,7 +76,7 @@ class Scenario:
             raise ScenarioError(f"flow_count: must be >= 1, got {self.flow_count}")
         if self.aggregate_rate_bps <= 0:
             raise ScenarioError("aggregate_rate_bps: must be positive")
-        if self.policy not in ("baseline", "zigzag"):
+        if self.policy not in (BASELINE, ZIGZAG):
             raise ScenarioError(f"policy: unknown policy {self.policy!r}")
         if self.warmup_s < 0:
             raise ScenarioError(f"warmup_s: must be >= 0, got {self.warmup_s}")

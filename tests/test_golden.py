@@ -8,10 +8,12 @@ be deliberate.
 
 The ``gen`` and ``rto`` counts are those of the lazy source and timer: a
 ``gen`` wakeup is scheduled only while the window has room, so the 5,630
-CBR instants take 68 events, and each flow keeps one pending ``rto`` event
-that re-arms at the current deadline instead of one event per ACK
-(3,626 and 3,707 events before).  Every hash and total, and the ``fb``
-count, are unchanged by that.
+CBR instants take 68 events.  An ``rto`` event is scheduled only when the
+flow's own feedback will not restart the timer before its deadline, so
+the 3 and 1 timeouts take 7 and 5 events (3,626 and 3,707 with one event
+per ACK, then 245 and 288 with one pending event per flow that re-armed
+at each moved deadline).  The timeouts fire at the same instants, so
+every hash and total, and the ``fb`` count, are unchanged by that.
 
 There is no ``wless`` count: a sender computes each delivery when it
 sends the packet, counts it at once and schedules its ``fb`` event, so a
@@ -58,7 +60,7 @@ GOLDEN = {
                    "queue_drops": 89, "wireless_drops": 97, "timeouts": 3,
                    "congestion_events": 127, "wireless_events": 0,
                    "loss_trace": 4004},
-        "events": {"gen": 68, "fb": 3822, "rto": 245},
+        "events": {"gen": 68, "fb": 3822, "rto": 7},
         "trace_csv_sha256": "0ea05befadbde3fecb37101eed846b08"
                             "e0c0d336d2ac3fefe1cfbeedab49bb7c",
         "series_csv_sha256": "5669105ef9e6751a38e7b740f7d6c1f5"
@@ -77,7 +79,7 @@ GOLDEN = {
                    "queue_drops": 89, "wireless_drops": 97, "timeouts": 1,
                    "congestion_events": 110, "wireless_events": 18,
                    "loss_trace": 4195},
-        "events": {"gen": 68, "fb": 3986, "rto": 288},
+        "events": {"gen": 68, "fb": 3986, "rto": 5},
         "trace_csv_sha256": "4f157e23490abd5b1d6150b466dd318d"
                             "4e09a10330d8570608b2b2e614277eb1",
         "series_csv_sha256": "32d9c3eec2ad07e2b3a240abb5cddb12"

@@ -4,13 +4,16 @@ import random
 import re
 import weakref
 from collections import deque
+from dataclasses import replace
+from functools import partial
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zigzagsim import metrics
-from zigzagsim.control import MIN_SSTHRESH
+from zigzagsim import harness, metrics
+from zigzagsim.control import BASELINE, MIN_SSTHRESH, ZIGZAG
 from zigzagsim.harness import (DRAW_CHUNK, IN_FLIGHT, INITIAL_RTO_S,
                                QUEUE_DROP, WIRED_BANDWIDTH_BPS, WIRED_DELAY_S,
                                WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
@@ -259,16 +262,24 @@ class TestChunkedLossDraws:
 
 
 class TestLazyTimer:
-    """One pending rto event per flow, re-armed at the current deadline."""
+    """The timeout restarts on each feedback, timeout and send from idle;
+    an rto event is scheduled only when the flow's own feedback will not
+    restart the timer first."""
+
+    def test_lossless_run_schedules_no_rto_event(self):
+        net = Network(short_scenario(flow_count=3, aggregate_rate_bps=6.0e5),
+                      log_events=True)
+        result = net.run()
+        assert sum(fs.delivered for fs in result.flows) > 1000
+        assert fired(net.sim, "rto") == []
 
     def test_later_deadline_costs_one_rearm(self):
         sim, sender = silent_sender()
         sim.run_until(0.0)
         for k in range(1, 11):
             sim.run_until(0.1 * k)
-            sender.last_progress = sim.now
-            sender._arm_timer()
-        deadline = sender.last_progress + INITIAL_RTO_S
+            sender._restart_timer()
+        deadline = sim.now + INITIAL_RTO_S
         sim.run_until(deadline - 0.01)
         # ten later deadlines: the event armed at 0 fired once and re-armed
         assert fired(sim, "rto") == [INITIAL_RTO_S]
@@ -282,8 +293,7 @@ class TestLazyTimer:
         sim.run_until(0.1)
         rtos = iter([1.0])
         sender._rto = lambda: next(rtos, INITIAL_RTO_S)
-        sender.last_progress = sim.now
-        sender._arm_timer()
+        sender._restart_timer()
         early = 0.1 + 1.0
         sim.run_until(early)
         assert fired(sim, "rto") == [early]
@@ -295,22 +305,30 @@ class TestLazyTimer:
 
     def test_silent_flow_times_out_at_its_last_deadline(self):
         sim, sender = silent_sender(start_time=0.25)
-        arms = []
-        arm = sender._arm_timer
+        deadlines = []
+        restart = sender._restart_timer
 
         def record():
-            if sender.outstanding:
-                arms.append((sim.now, sender.last_progress + sender._rto()))
-            arm()
+            restart()
+            deadlines.append((sim.now, sender._deadline))
 
-        sender._arm_timer = record
+        sender._restart_timer = record
         sim.run_until(20.0)
         timeouts = timeout_times(sender)
         assert len(timeouts) == sender.stats.timeouts >= 5
         for t in timeouts:
-            assert t == [d for at, d in arms if at < t][-1]
+            assert t == [d for at, d in deadlines if at < t][-1]
         # every rto event of a silent flow is a timeout
         assert fired(sim, "rto") == timeouts
+
+    def test_feedback_due_after_the_deadline_still_times_out(self):
+        # a lone packet's feedback returns after its path RTT, ~0.81 s
+        sim, sender = lone_sender(Scenario())
+        sender._rto = lambda: 0.75
+        sim.run_until(1.0)
+        assert fired(sim, "fb")[0] > 0.75
+        assert fired(sim, "rto") == [0.75]
+        assert timeout_times(sender) == [0.75]
 
 
 class TestLazySource:
@@ -713,3 +731,86 @@ class TestScenarioFuzz:
             assert all(r.cwnd >= MIN_SSTHRESH for r in trace)
             times = [r.t for r in trace]
             assert times == sorted(times)
+
+
+class EpochTimerSender(Sender):
+    """A sender with the timer that the deadline rule replaced, kept as the
+    reference: on every restart it moves the deadline and keeps one rto
+    event pending, which re-arms at the deadline when it fires early, and
+    an earlier deadline schedules a new event and voids the old by epoch.
+    It schedules rto events without regard to pending feedback.  It arms
+    where ``Sender`` restarts its timer: a send from idle arms after the
+    sends, not before the first."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.last_progress = 0.0
+        self._deadline = None
+        self._timer_at = None
+        self._timer_epoch = 0
+
+    def _restart_timer(self):
+        self.last_progress = self.sim.now
+        self._arm_timer()
+
+    def _arm_timer(self):
+        if not self.outstanding:
+            self._deadline = None
+            return
+        self._deadline = deadline = self.last_progress + self._rto()
+        if self._timer_at is None or deadline < self._timer_at:
+            self._schedule_timer(deadline)
+
+    def _schedule_timer(self, at):
+        self._timer_epoch += 1
+        self._timer_at = at
+        self.sim.schedule_at(at, partial(self._on_timer, self._timer_epoch),
+                             "rto")
+
+    def _on_timer(self, epoch):
+        if epoch != self._timer_epoch:
+            return
+        self._timer_at = None
+        if self._deadline is None:
+            return
+        if self.sim.now < self._deadline:
+            self._schedule_timer(self._deadline)
+        else:
+            self._on_timeout()
+
+
+class TestTimerAgainstEpochTimer:
+    """The deadline rule times out at exactly the instants the epoch timer
+    does, and so changes nothing a run records."""
+
+    @staticmethod
+    def run(sc, rto_scale, sender_class):
+        with mock.patch.object(harness, "Sender", sender_class):
+            net = Network(sc, log_events=True)
+        timeouts = []
+        for sender in net.senders:
+            rto, on_timeout = sender._rto, sender._on_timeout
+            sender._rto = lambda rto=rto: rto_scale * rto()
+
+            def record(sender=sender, on_timeout=on_timeout):
+                timeouts.append((sender.sim.now, sender.flow_id))
+                on_timeout()
+
+            sender._on_timeout = record
+        result = net.run()
+        return (metrics.controller_trace_hash(result),
+                metrics.delivery_hash(result), result.loss_trace[:],
+                result.queue_drop_log, result.flows, timeouts), net
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(fuzzed_scenarios().filter(lambda case: case[1] is None),
+           st.sampled_from([BASELINE, ZIGZAG]), st.integers(1, 2000),
+           st.sampled_from([1.0, 0.75, 0.6]))
+    def test_same_run_and_timeouts(self, case, policy, capacity, rto_scale):
+        # an _rto() scaled below 1 pushes feedback past more deadlines;
+        # below about 0.6 it could fall under _on_timeout's 2 * mean grace
+        sc = replace(case[0], policy=policy, queue_capacity_pkts=capacity)
+        ours, net = self.run(sc, rto_scale, Sender)
+        reference, ref_net = self.run(sc, rto_scale, EpochTimerSender)
+        assert ours == reference
+        assert len(fired(net.sim, "rto")) <= len(fired(ref_net.sim, "rto"))

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from array import array
 from dataclasses import fields
 
 import pytest
@@ -8,30 +9,40 @@ from hypothesis import given, settings, strategies as st
 
 from zigzagsim import metrics
 from zigzagsim.control import ControllerTrace, TraceRecord
-from zigzagsim.harness import run_scenario
+from zigzagsim.harness import FlowStats, run_scenario
 from zigzagsim.scenario import LossSpec, Scenario
+
+
+class Deliveries:
+    """A stand-in run result: one flow's delivery times and the scenario
+    fields that set the measurement window."""
+
+    def __init__(self, times, warmup_s=100.0, duration_s=500.0):
+        self.scenario = Scenario(packet_size_bytes=1000, warmup_s=warmup_s,
+                                 duration_s=duration_s)
+        self.flows = [FlowStats(delivery_times=array("d", times))]
 
 
 class TestMeanThroughput:
     def test_fifty_thousand_packets_over_400s_is_one_mbps(self):
         # 50,000 x 1000-byte packets spread over (100, 500]
         times = [100.0 + (i + 1) * (400.0 / 50_000) for i in range(50_000)]
-        assert metrics.mean_throughput(times, 1000, 100.0, 500.0) \
+        assert metrics.run_mean_throughput(Deliveries(times)) \
             == pytest.approx(1.0e6)
 
     def test_no_deliveries_after_warmup_is_zero(self):
         times = [5.0, 60.0, 99.9]
-        assert metrics.mean_throughput(times, 1000, 100.0, 500.0) == 0.0
+        assert metrics.run_mean_throughput(Deliveries(times)) == 0.0
 
     def test_window_edges(self):
         # delivery exactly at warm-up excluded, exactly at horizon included
-        assert metrics.mean_throughput([100.0], 1000, 100.0, 500.0) == 0.0
-        assert metrics.mean_throughput([500.0], 1000, 100.0, 500.0) \
+        assert metrics.run_mean_throughput(Deliveries([100.0])) == 0.0
+        assert metrics.run_mean_throughput(Deliveries([500.0])) \
             == pytest.approx(8000 / 400.0)
 
     def test_requires_window(self):
         with pytest.raises(ValueError):
-            metrics.mean_throughput([], 1000, 500.0, 500.0)
+            metrics.run_mean_throughput(Deliveries([], warmup_s=500.0))
 
 
 class TestIncreasePct:
