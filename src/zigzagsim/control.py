@@ -8,7 +8,7 @@ relative one-way trip time (ROTT, approximated as RTT/2) against its
 exponential mean and deviation.
 """
 
-from array import array
+import struct
 from dataclasses import dataclass
 
 BASELINE = "baseline"
@@ -201,8 +201,8 @@ ROW_FORMAT = ",".join(FIELD_FORMATS)
 class TraceRecord:
     """One controller trace row; reproduces window-versus-time plots.
 
-    Rows are stored as a ControllerTrace's columns; a TraceRecord is a
-    view of one row, built when the trace is iterated.
+    Rows are stored packed in a ControllerTrace; a TraceRecord is a view
+    of one row, built when the trace is iterated.
     """
 
     t: float
@@ -236,48 +236,41 @@ HALVING_CODES = frozenset(KIND_CODES[phase, "loss", CONGESTION]
                           for phase in (SLOW_START, CONGESTION_AVOIDANCE))
 
 
-class ControllerTrace:
-    """One flow's controller trace, kept as typed columns.
+# One packed trace row: t, cwnd, kind code, n, and the ROTT sample, mean
+# and deviation; standard sizes, no padding, 49 bytes
+ROW = struct.Struct("=ddBqddd")
 
-    A row is 5 doubles (t, cwnd and the ROTT sample, mean and deviation),
-    its kind code and its n; the flow id is stored once.  Iterating yields
-    TraceRecord views; the trace hash, the CSV writer and the halving
-    check read the columns.
+
+class ControllerTrace:
+    """One flow's controller trace, kept as packed ROW records.
+
+    The flow id is stored once.  Iterating yields TraceRecord views; the
+    trace hash, the CSV writer and the halving check read unpack().
     """
 
-    __slots__ = ("flow_id", "t", "cwnd", "kind", "n", "rott_i", "rott_mean",
-                 "rott_dev")
+    __slots__ = ("flow_id", "rows")
 
     def __init__(self, flow_id):
         self.flow_id = flow_id
-        self.t = array("d")
-        self.cwnd = array("d")
-        self.kind = bytearray()
-        self.n = array("q")
-        self.rott_i = array("d")
-        self.rott_mean = array("d")
-        self.rott_dev = array("d")
+        self.rows = bytearray()
 
     def append(self, t, cwnd, phase, event_type, loss_class, n, rott_i,
                rott_mean, rott_dev):
-        self.t.append(t)
-        self.cwnd.append(cwnd)
-        self.kind.append(KIND_CODES[phase, event_type, loss_class])
-        self.n.append(n)
-        self.rott_i.append(rott_i)
-        self.rott_mean.append(rott_mean)
-        self.rott_dev.append(rott_dev)
+        self.rows += ROW.pack(t, cwnd,
+                              KIND_CODES[phase, event_type, loss_class], n,
+                              rott_i, rott_mean, rott_dev)
 
     def __len__(self):
-        return len(self.t)
+        return len(self.rows) // ROW.size
 
-    def _rows(self):
-        return zip(self.t, self.cwnd, self.kind, self.n, self.rott_i,
-                   self.rott_mean, self.rott_dev)
+    def unpack(self):
+        """Each row as a (t, cwnd, kind, n, rott_i, mean, dev) tuple; until
+        the reader is exhausted or dropped, append raises BufferError."""
+        return ROW.iter_unpack(self.rows)
 
     def __iter__(self):
         flow_id = self.flow_id
-        for t, cwnd, kind, n, rott_i, mean, dev in self._rows():
+        for t, cwnd, kind, n, rott_i, mean, dev in self.unpack():
             phase, event, cls = ROW_KINDS[kind]
             yield TraceRecord(t, flow_id, cwnd, phase, event, cls, n, rott_i,
                               mean, dev)
@@ -286,10 +279,10 @@ class ControllerTrace:
         """Every row's as_row text followed by ``end``, as one string."""
         f = FIELD_FORMATS
         # ROW_FORMAT + end per kind, with the flow id and the kind's words
-        # written in; the six columns fill the rest
+        # written in; the six other fields fill the rest
         formats = [",".join((f[0], f[1] % self.flow_id, f[2], *kind, f[6],
                              f[7], f[8], f[9])) + end
                    for kind in ROW_KINDS]
         return "".join([formats[kind] % (t, cwnd, n, rott_i, mean, dev)
                         for t, cwnd, kind, n, rott_i, mean, dev
-                        in self._rows()])
+                        in self.unpack()])

@@ -404,13 +404,14 @@ class Network:
         # what is still queued is due after the horizon and never runs
         self.sim.drop_pending()
         # the finished records at their exact size: without the flags drawn
-        # ahead, or the delivery arrays' room to grow
+        # ahead, or the spare room of the delivery arrays and the traces
         trace = self.path.loss_trace
         trace.flags = trace.flags[:trace.n]
         for sender in self.senders:
             sender.generate_until(horizon)
             stats = sender.stats
             stats.delivery_times = stats.delivery_times[:]
+            sender.trace.rows = sender.trace.rows[:]
         return RunResult(
             scenario=self.scenario,
             flows=[s.stats for s in self.senders],

@@ -37,9 +37,10 @@ class Simulator:
     def run_until(self, t_end):
         """Dispatch every event with fire_at <= t_end; leave clock at t_end.
 
+        Running to a time in the past, or to NaN, raises PastTimeError.
         Returns the number of events dispatched.
         """
-        if t_end < self.now:
+        if not t_end >= self.now:
             raise PastTimeError(
                 f"cannot run to t={t_end} (clock is {self.now})")
         queue = self._queue

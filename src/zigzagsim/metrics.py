@@ -113,11 +113,12 @@ def count_halve_violations(result):
     """
     violations = 0
     for trace in result.traces:
-        cwnd = trace.cwnd
-        # each row against the row before it
-        violations += sum(
-            1 for prev, now, kind in zip(cwnd, cwnd[1:], trace.kind[1:])
-            if now < prev - 1e-12 and kind not in HALVING_CODES)
+        # each row against the row before it; the first has none
+        prev = -math.inf
+        for _t, cwnd, kind, _n, _rott_i, _mean, _dev in trace.unpack():
+            if cwnd < prev - 1e-12 and kind not in HALVING_CODES:
+                violations += 1
+            prev = cwnd
     return violations
 
 

@@ -126,9 +126,10 @@ def test_golden_pair(policy, tmp_path):
     assert file_sha256(series_path) == golden["series_csv_sha256"]
 
 
-def test_trace_stores_at_most_64_bytes_per_row():
-    """A controller trace keeps its rows as typed columns: five doubles, a
-    kind byte and n, with the flow id stored once."""
+def test_trace_stores_at_most_50_bytes_per_row():
+    """A finished controller trace keeps each row as one packed 49-byte
+    record (five doubles, a kind byte and n) in one buffer at its exact
+    size, with the flow id stored once."""
     result = Network(SCENARIO.with_policy("zigzag")).run()
     rows = sum(len(trace) for trace in result.traces)
     stored = sum(sys.getsizeof(trace)
@@ -136,7 +137,7 @@ def test_trace_stores_at_most_64_bytes_per_row():
                        for name in trace.__slots__)
                  for trace in result.traces)
     assert rows > 1000
-    assert stored / rows <= 64
+    assert stored / rows <= 50
 
 
 def test_loss_flags_and_delivery_times_are_packed():

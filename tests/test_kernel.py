@@ -41,6 +41,20 @@ def test_schedule_in_past_rejected():
         sim.schedule_at(float("nan"), lambda: None)
 
 
+def test_run_until_nan_rejected_and_clock_kept():
+    # a NaN horizon would dispatch nothing and leave the clock at NaN, after
+    # which every schedule_at fails
+    sim = Simulator()
+    log = []
+    sim.run_until(2.0)
+    sim.schedule_at(3.0, record(log, "queued"))
+    with pytest.raises(PastTimeError):
+        sim.run_until(float("nan"))
+    assert sim.now == 2.0
+    assert sim.run_until(5.0) == 1
+    assert log == ["queued"]
+
+
 def test_run_until_empty_queue_advances_clock():
     sim = Simulator()
     assert sim.run_until(500.0) == 0

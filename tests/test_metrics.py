@@ -371,9 +371,9 @@ def field_reprs(rec):
 
 
 class TestControllerTraceColumns:
-    """The columns against the TraceRecords they stand for: the views, the
-    text and the halving check, over every row kind, special floats and
-    large n."""
+    """The packed rows against the TraceRecords they stand for: the views,
+    the text and the halving check, over every row kind, special floats and
+    n up to 2**63 - 1."""
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10 ** 6), trace_rows),
