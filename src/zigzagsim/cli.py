@@ -107,14 +107,19 @@ def load_matrix_spec(path):
         return spec
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    for key, value in read_pairs(text):
+    for key, value in read_pairs(text, SPEC_ALIASES):
         if key in NOT_SPEC_KEYS:
             raise ScenarioError(f"{key}: not a matrix key; every pair runs "
                                 "both policies, and kinds and couples set "
                                 "the loss")
-        spec[SPEC_ALIASES.get(key, key)] = [
-            convert(key, item.strip(), SPEC_CONVERTERS)
-            for item in value.split(",") if item.strip()]
+        values = [convert(key, item.strip(), SPEC_CONVERTERS)
+                  for item in value.split(",") if item.strip()]
+        # an empty axis runs no pair, and a repeated value runs one twice
+        if not values:
+            raise ScenarioError(f"{key}: no value")
+        if len(set(values)) < len(values):
+            raise ScenarioError(f"{key}: a value is repeated")
+        spec[SPEC_ALIASES.get(key, key)] = values
     return spec
 
 
@@ -132,7 +137,12 @@ def expand_matrix(spec):
             lspec = LossSpec(kind=UNIFORM, plr=couple.analytic_plr)
         else:
             raise ScenarioError(f"kinds: unknown loss kind {kind!r}")
-        templates.append(Scenario(loss=lspec, **point).validate())
+        template = Scenario(loss=lspec, **point).validate()
+        # the uniform kind runs two couples with one p/(p+q) as one scenario
+        if template in templates:
+            raise ScenarioError("couples: two couples have the same p/(p+q), "
+                                "so the uniform kind runs one pair twice")
+        templates.append(template)
     return templates
 
 

@@ -9,7 +9,7 @@ exponential mean and deviation.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 BASELINE = "baseline"
 ZIGZAG = "zigzag"
@@ -122,13 +122,12 @@ class CongestionController:
     """
 
     policy: str = BASELINE
-    alpha: float = DEFAULT_ALPHA
     strict_n4: bool = False
     cwnd: float = INITIAL_CWND
     ssthresh: float = INITIAL_SSTHRESH
     congestion_events: int = 0
     wireless_events: int = 0
-    estimator: RottEstimator = None
+    estimator: RottEstimator = field(default_factory=RottEstimator)
 
     def __post_init__(self):
         if self.policy not in (BASELINE, ZIGZAG):
@@ -138,8 +137,6 @@ class CongestionController:
             if not value >= MIN_SSTHRESH:
                 raise ValueError(
                     f"{name} must be >= {MIN_SSTHRESH}, got {value}")
-        if self.estimator is None:
-            self.estimator = RottEstimator(alpha=self.alpha)
 
     @property
     def phase(self):

@@ -20,7 +20,7 @@ from . import loss
 # TraceRecord is not used here but stays importable from this module: the
 # benchmark's tracer patches it by name
 from .control import (CongestionController, ControllerTrace, LossEvent,
-                      TraceRecord)
+                      RottEstimator, TraceRecord)
 from .kernel import RngStream, Simulator
 from .scenario import Scenario
 
@@ -52,29 +52,23 @@ class LossTrace:
 
     ``flags`` may run ahead of the packets drawn so far, which are its
     first ``n`` bytes.  Slicing gives those bytes; iterating yields
-    (packet_index, dropped, model_state) tuples.  The state is "bad"
-    exactly when a Gilbert draw drops (its chain drops in Bad and only
-    there), and "good" otherwise.
+    (packet_index, dropped) pairs.
     """
 
-    __slots__ = ("flags", "n", "drop_state")
+    __slots__ = ("flags", "n")
 
-    def __init__(self, model):
+    def __init__(self):
         self.flags = bytearray()
         self.n = 0
-        gilbert = isinstance(model, loss.GilbertElliottModel)
-        self.drop_state = loss.BAD if gilbert else loss.GOOD
 
     def __len__(self):
         return self.n
 
     def __getitem__(self, index):
-        return bytes(self.flags[:self.n])[index]
+        return bytes(memoryview(self.flags)[:self.n])[index]
 
     def __iter__(self):
-        drop_state = self.drop_state
-        for i, dropped in enumerate(self.flags[:self.n]):
-            yield i, dropped, drop_state if dropped else loss.GOOD
+        return enumerate(self.flags[:self.n])
 
 
 class ForwardPath:
@@ -99,7 +93,7 @@ class ForwardPath:
         self.wired_busy_until = 0.0
         self._departures = deque()  # wireless transmission-complete times
         self.queue_drop_log = []    # (arrival time, flow_id, seq)
-        self.loss_trace = LossTrace(loss_model)
+        self.loss_trace = LossTrace()
 
     def send(self, now, flow_id, seq, size_bytes):
         """Send one packet from n0 at ``now``.
@@ -177,9 +171,9 @@ class Sender:
         self.path = path
         self.receiver_delay_s = receiver_delay_s
         self.ctrl = CongestionController(
-            policy=scenario.policy, alpha=scenario.alpha,
-            strict_n4=scenario.strict_n4,
-            ssthresh=scenario.initial_ssthresh_pkts)
+            policy=scenario.policy, strict_n4=scenario.strict_n4,
+            ssthresh=scenario.initial_ssthresh_pkts,
+            estimator=RottEstimator(alpha=scenario.alpha))
         self.trace = ControllerTrace(flow_id)
         self.stats = FlowStats()
         self.outstanding = {}  # seq -> sent_at, insertion = seq order
@@ -400,7 +394,7 @@ class Network:
 
     def run(self):
         horizon = self.scenario.duration_s
-        self.sim.run_until(horizon)
+        dispatched = self.sim.run_until(horizon)
         # what is still queued is due after the horizon and never runs
         self.sim.drop_pending()
         # the finished records at their exact size: without the flags drawn
@@ -419,10 +413,10 @@ class Network:
             traces=[s.trace for s in self.senders],
             loss_trace=self.path.loss_trace,
             queue_drop_log=self.path.queue_drop_log,
-            events_dispatched=self.sim.dispatched,
+            events_dispatched=dispatched,
         )
 
 
-def run_scenario(scenario, log_events=False):
+def run_scenario(scenario):
     """Build the reference topology and run it to the scenario horizon."""
-    return Network(scenario, log_events=log_events).run()
+    return Network(scenario).run()

@@ -20,7 +20,6 @@ class Simulator:
         self.now = 0.0
         self._queue = []
         self._seq = 0
-        self.dispatched = 0
         self.event_log = [] if log_events else None
 
     def schedule_at(self, fire_at, action, tag=""):
@@ -55,7 +54,6 @@ class Simulator:
             action()
             count += 1
         self.now = t_end
-        self.dispatched += count
         return count
 
     def drop_pending(self):

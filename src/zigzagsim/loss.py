@@ -1,9 +1,6 @@
 """Per-packet drop models for the wireless hop: bursty 2-state Gilbert and
 memoryless uniform, plus their analytic reference statistics."""
 
-GOOD = "good"
-BAD = "bad"
-
 
 class UndefinedChainError(ValueError):
     """p = q = 0 leaves the 2-state chain with no stationary distribution."""
@@ -17,9 +14,9 @@ class GilbertElliottModel:
     """2-state Markov loss process: 0% PLR in Good, 100% PLR in Bad.
 
     p is the probability of leaving the good state, q the probability of
-    leaving the bad state.  The chain starts in Good.  On each packet the
-    state transitions first, then the packet is dropped iff the new state
-    is Bad.
+    leaving the bad state.  The chain starts in Good; ``bad`` is True in
+    Bad.  On each packet the state transitions first, then the packet is
+    dropped iff the new state is Bad.
     """
 
     def __init__(self, p, q):
@@ -29,17 +26,12 @@ class GilbertElliottModel:
             raise ValueError(f"q must be in [0,1], got {q}")
         self.p = p
         self.q = q
-        self.state = GOOD
+        self.bad = False
 
     def should_drop(self, rng):
         """Advance one transition step and return True iff the packet is lost."""
-        if self.state == GOOD:
-            if rng.random() < self.p:
-                self.state = BAD
-        else:
-            if rng.random() < self.q:
-                self.state = GOOD
-        return self.state == BAD
+        self.bad = rng.random() >= self.q if self.bad else rng.random() < self.p
+        return self.bad
 
 
 class UniformLossModel:
@@ -78,14 +70,14 @@ def simulate_trace(model, rng, count):
     flags = bytearray(count)
     rand = rng.random
     if isinstance(model, GilbertElliottModel):
-        # should_drop's chain rule, with the state as a bool (True is Bad)
+        # should_drop's chain rule
         p, q = model.p, model.q
-        bad = model.state == BAD
+        bad = model.bad
         for i in range(count):
             bad = rand() >= q if bad else rand() < p
             if bad:
                 flags[i] = 1
-        model.state = BAD if bad else GOOD
+        model.bad = bad
     else:
         plr = model.plr
         for i in range(count):

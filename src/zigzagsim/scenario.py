@@ -26,6 +26,11 @@ class LossSpec:
     def validate(self):
         if self.kind not in (GILBERT, UNIFORM, NONE):
             raise ScenarioError(f"loss.kind: unknown kind {self.kind!r}")
+        # a field that the kind never reads must be left at 0
+        for name, reader in (("p", GILBERT), ("q", GILBERT), ("plr", UNIFORM)):
+            if self.kind != reader and getattr(self, name) != 0.0:
+                raise ScenarioError(f"loss.{name}: read only by loss.kind = "
+                                    f"{reader}, not {self.kind}")
         if self.kind == GILBERT:
             if not (0.0 <= self.p <= 1.0):
                 raise ScenarioError(f"loss.p: must be in [0,1], got {self.p}")
@@ -129,8 +134,14 @@ CONVERTERS = {
 }
 
 
-def read_pairs(text):
-    """Yield (key, value) per ``key = value`` line ('#' starts a comment)."""
+def read_pairs(text, aliases=None):
+    """Yield (key, value) per ``key = value`` line ('#' starts a comment).
+
+    A key given twice is rejected; ``aliases`` maps a key to the one it
+    stands for, so that setting both counts as twice.
+    """
+    aliases = aliases or {}
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,7 +149,13 @@ def read_pairs(text):
         key, sep, value = line.partition("=")
         if not sep:
             raise ScenarioError(f"line {lineno}: expected 'key = value'")
-        yield key.strip(), value.strip()
+        key = key.strip()
+        name = aliases.get(key, key)
+        if name in seen:
+            raise ScenarioError(f"{key}: {name} is set twice, on lines "
+                                f"{seen[name]} and {lineno}")
+        seen[name] = lineno
+        yield key, value.strip()
 
 
 def convert(key, text, converters=CONVERTERS):

@@ -78,14 +78,30 @@ class TestRun:
         ("duration_s = 100", "duration_s"),
         ("feedback_size_bytes = -100000", "feedback_size_bytes"),
         ("strict_n4 = ture", "strict_n4"),
+        ("flow_count = 7", "flow_count"),
+        ("loss.plr = 0.1", "loss.plr"),
     ], ids=["nan-rate", "inf-duration", "inf-ssthresh", "negative-warmup",
-            "no-window", "negative-feedback", "not-a-boolean"])
+            "no-window", "negative-feedback", "not-a-boolean",
+            "key-given-twice", "plr-of-gilbert"])
     def test_out_of_range_value_rejected(self, tmp_path, capsys, line,
                                          field):
         config = write(tmp_path / "bad.cfg", REFERENCE_CONFIG + line + "\n")
         assert cli.main(["run", "--config", config,
                          "--out", str(tmp_path / "out")]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("loss.plr = 0.1\n", "loss.plr"),
+        ("loss.kind = uniform\nloss.p = 0.1\n", "loss.p"),
+        ("loss.kind = uniform\nloss.plr = 0.1\nloss.q = 0.5\n", "loss.q"),
+        ("loss.kind = none\nloss.q = 0.5\n", "loss.q"),
+    ], ids=["plr-without-kind", "p-of-uniform", "q-of-uniform", "q-of-none"])
+    def test_loss_field_the_kind_never_reads_rejected(self, tmp_path, capsys,
+                                                      text, key):
+        config = write(tmp_path / "bad.cfg", text)
+        assert cli.main(["run", "--config", config,
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
 
     def test_strict_n4_booleans(self):
         for text, value in (("1", True), ("TRUE", True), ("Yes", True),
@@ -113,6 +129,10 @@ NON_DEFAULT = {
     "loss.q": 0.4,
     "loss.plr": 0.05,
 }
+# what a scenario needs beside a loss field's value for the field to be read
+READER_LINES = {"loss.p": "loss.kind = gilbert\nloss.q = 0.4\n",
+                "loss.q": "loss.kind = gilbert\n",
+                "loss.plr": "loss.kind = uniform\n"}
 
 
 class TestScenarioKeys:
@@ -131,7 +151,8 @@ class TestScenarioKeys:
             return getattr(sc.loss if is_loss else sc, name)
 
         assert read(Scenario()) != value
-        parsed = read(parse_scenario_text(f"{key} = {value}\n"))
+        text = READER_LINES.get(key, "") + f"{key} = {value}\n"
+        parsed = read(parse_scenario_text(text))
         assert parsed == value and type(parsed) is type(value)
 
 
@@ -191,12 +212,14 @@ class TestMatrix:
         assert sizes == [2]
         assert len(rows) == 2 and failures == []
 
-    def test_empty_matrix(self, tmp_path):
+    def test_empty_matrix(self, tmp_path, capsys):
+        # an axis with no value would expand to no pair at all
         spec = write(tmp_path / "matrix.cfg",
                      TINY_MATRIX.replace("flows = 2", "flows ="))
         out = tmp_path / "out"
-        assert cli.main(["matrix", "--spec", spec, "--out", str(out)]) == 0
-        assert (out / "summary.csv").read_text().splitlines()[1:] == []
+        assert cli.main(["matrix", "--spec", spec, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: flows:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, key", [
         ("nonsense line", "line 1"),
@@ -211,6 +234,30 @@ class TestMatrix:
         assert cli.main(["matrix", "--spec", spec,
                          "--out", str(tmp_path / "out")]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("flows = 2", "flows = 1, 1", "flows"),
+        ("couples = 0.01:0.5", "couples = 0.01:0.5, 0.010:0.50", "couples"),
+        ("kinds = gilbert", "kinds = gilbert, uniform, gilbert", "kinds"),
+        ("seed = 1", "seed = 1, 2, 1", "seed"),
+        ("flows = 2", "flows = 2\nflows = 3", "flows"),
+        ("flows = 2", "flows = 2\nflow_count = 5", "flow_count"),
+        ("kinds = gilbert", "kinds = gilbert\nloss.kind = uniform",
+         "loss.kind"),
+        ("couples = 0.01:0.5\nrates_bps = 1.0e6\nkinds = gilbert",
+         "couples = 0.01:0.5, 0.02:1.0\nrates_bps = 1.0e6\nkinds = uniform",
+         "couples"),
+    ], ids=["repeated-flows", "repeated-couple", "repeated-kind",
+            "repeated-seed", "key-given-twice", "key-after-alias",
+            "key-after-loss-alias", "couples-equal-as-uniform"])
+    def test_repeat_rejected(self, tmp_path, capsys, old, new, key):
+        # a repeated value or key would run a pair twice, over its own
+        # artefacts, or silently drop a value
+        spec = write(tmp_path / "matrix.cfg", TINY_MATRIX.replace(old, new))
+        out = tmp_path / "out"
+        assert cli.main(["matrix", "--spec", spec, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}:")
+        assert not out.exists()
 
     def test_default_matrix_shape(self):
         templates = cli.expand_matrix(cli.load_matrix_spec(None))

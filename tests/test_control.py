@@ -177,8 +177,8 @@ class TestCongestionController:
         assert ctrl.estimator.mean == estimate_rott(0.6)
         assert ctrl.on_ack(rtt=0.9) == estimate_rott(0.9)
         assert ctrl.estimator.mean \
-            == (1.0 - ctrl.alpha) * estimate_rott(0.6) \
-            + ctrl.alpha * estimate_rott(0.9)
+            == (1.0 - ctrl.estimator.alpha) * estimate_rott(0.6) \
+            + ctrl.estimator.alpha * estimate_rott(0.9)
 
     def test_app_limited_ack_does_not_grow(self):
         ctrl = CongestionController(cwnd=10.0, ssthresh=5.0)

@@ -22,9 +22,11 @@ events before).  The ``fb`` event now takes its insertion number at send
 time, which could reorder events that share a timestamp; every hash,
 total and other count is unchanged by that.
 
-The loss trace is hashed as the list of (packet_index, dropped, state)
-tuples its iteration yields, the list the wireless hop kept before it
-stored one byte per draw.
+The loss trace is pinned by the sha256 of its drop flags, one byte per
+draw.  It was pinned before as the repr of the (packet_index, dropped,
+state) tuples its iteration yielded, where the state was derived from the
+flag; the flag bytes pin the same draws, and their hashes were computed
+before the derived state was dropped.
 
 The trace and series CSVs that ``run`` and ``matrix --out`` write are pinned
 by their sha256, so a writer that changes how it writes must still write
@@ -52,8 +54,8 @@ GOLDEN = {
                       "5736667005eb7bc03be7328f45cfe46c",
         "delivery_hash": "def758aa0d73e69593d1ae386b2a334c"
                          "4dc145c087f0f8c482a81f2274ea4c94",
-        "loss_trace_hash": "124377e23c6248a953ac5f37c612d376"
-                           "b966d3ffe4761e9dbd9e43b0c22117c7",
+        "loss_flags_sha256": "31a93b77f57c966d39521637b0499012"
+                             "67932f3559fbbaadd6e85bd8cd78357a",
         "queue_drop_log_hash": "a14015a912c6c0fab9b93af10c61bc87"
                                "a284c156e195695596205f27b784d719",
         "totals": {"generated": 5630, "sent": 4112, "delivered": 3870,
@@ -71,8 +73,8 @@ GOLDEN = {
                       "a40751b1ca37643fa1175107e5e89727",
         "delivery_hash": "494657580c62686d1360575f6abf2647"
                          "e94679b9d6e7826c5593f3747b267c0b",
-        "loss_trace_hash": "a878efe6363b947b9d43abb5c0631e84"
-                           "1cb4c7e061f491422711f816603e9ac9",
+        "loss_flags_sha256": "4df1edafa92b63f1da5045c331458da3"
+                             "196366ffa67c84b1ae23bc225b556597",
         "queue_drop_log_hash": "a14015a912c6c0fab9b93af10c61bc87"
                                "a284c156e195695596205f27b784d719",
         "totals": {"generated": 5630, "sent": 4302, "delivered": 4035,
@@ -110,7 +112,8 @@ def test_golden_pair(policy, tmp_path):
     totals["loss_trace"] = len(result.loss_trace)
     assert metrics.controller_trace_hash(result) == golden["trace_hash"]
     assert metrics.delivery_hash(result) == golden["delivery_hash"]
-    assert digest(list(result.loss_trace)) == golden["loss_trace_hash"]
+    assert hashlib.sha256(result.loss_trace[:]).hexdigest() \
+        == golden["loss_flags_sha256"]
     assert digest(result.queue_drop_log) == golden["queue_drop_log_hash"]
     assert totals == golden["totals"]
     assert len(result.queue_drop_log) == totals["queue_drops"]

@@ -118,7 +118,7 @@ class TestBottleneckLink:
     def test_bad_state_packet_never_delivered(self):
         path = make_path(loss_model=UniformLossModel(1.0))
         assert path.send(0.0, 0, 0, 1000) is WIRELESS_DROP
-        assert list(path.loss_trace) == [(0, 1, "good")]
+        assert list(path.loss_trace) == [(0, 1)]
 
     def test_loss_trace_indexes_every_transmitted_packet(self):
         path = make_path(capacity=2, loss_model=UniformLossModel(0.0))
@@ -150,7 +150,7 @@ class TestBottleneckLink:
         # and later, after the 0.2 s horizon
         drawn = make_path(loss_model=UniformLossModel(0.0), horizon_s=0.2)
         assert drawn.send(0.0, 0, 0, 1000) is IN_FLIGHT
-        assert list(drawn.loss_trace) == [(0, 0, "good")]
+        assert list(drawn.loss_trace) == [(0, 0)]
         for horizon_s in (0.2, make_path().send(0.0, 0, 0, 1000)):
             sim, sender = lone_sender(Scenario(
                 loss=LossSpec("uniform", plr=0.0), duration_s=horizon_s))
@@ -167,8 +167,8 @@ class TestBottleneckLink:
 
 class ReferencePath:
     """ForwardPath as it was with one should_drop call and one
-    (packet_index, dropped, model_state) tuple per admitted packet, kept
-    as the oracle for the chunked draws.  A uniform draw's state is "good"."""
+    (packet_index, dropped) pair per admitted packet, kept as the oracle
+    for the chunked draws."""
 
     def __init__(self, capacity, loss_model, rng, horizon_s):
         self.capacity = capacity
@@ -200,10 +200,7 @@ class ReferencePath:
         model = self.loss_model
         if model is not None:
             dropped = model.should_drop(self.rng)
-            state = model.state if isinstance(model, GilbertElliottModel) \
-                else "good"
-            self.loss_trace.append((len(self.loss_trace), 1 if dropped else 0,
-                                    state))
+            self.loss_trace.append((len(self.loss_trace), 1 if dropped else 0))
             if dropped:
                 return WIRELESS_DROP
         delivery = done + WIRELESS_DELAY_S
@@ -257,7 +254,7 @@ class TestChunkedLossDraws:
         assert list(path.loss_trace) == ref.loss_trace
         assert len(path.loss_trace) == len(ref.loss_trace)
         assert path.loss_trace[:] \
-            == bytes(dropped for _, dropped, _ in ref.loss_trace)
+            == bytes(dropped for _, dropped in ref.loss_trace)
         assert path.queue_drop_log == ref.queue_drop_log
 
 
@@ -460,6 +457,14 @@ class TestTopologyBuild:
         assert isinstance(net.path.loss_model, GilbertElliottModel)
         assert all(s.path is net.path for s in net.senders)
 
+    def test_controllers_take_the_scenario_settings(self):
+        sc = Scenario(flow_count=2, policy="zigzag", alpha=0.25,
+                      strict_n4=True, initial_ssthresh_pkts=30.0)
+        for sender in Network(sc).senders:
+            ctrl = sender.ctrl
+            assert (ctrl.policy, ctrl.strict_n4, ctrl.ssthresh,
+                    ctrl.estimator.alpha) == ("zigzag", True, 30.0, 0.25)
+
     def test_invalid_scenarios_rejected_with_field_name(self):
         with pytest.raises(ScenarioError, match="flow_count"):
             Network(Scenario(flow_count=0))
@@ -617,6 +622,9 @@ INVALID = {
     "loss.q": (0.0, 1.5),
     "loss.plr": (-0.1, 1.1, math.nan),
 }
+# the loss fields each kind reads; a nonzero value of another is rejected
+LOSS_READS = {"gilbert": ("loss.p", "loss.q"), "uniform": ("loss.plr",),
+              "none": ()}
 
 
 @st.composite
@@ -637,16 +645,22 @@ def fuzzed_scenarios(draw):
         alpha=draw(st.floats(0.01, 0.49)),
         strict_n4=draw(st.booleans()),
         initial_ssthresh_pkts=draw(st.floats(2.0, 100.0)))
-    loss = dict(kind=draw(st.sampled_from(["gilbert", "uniform", "none"])),
-                p=draw(st.floats(0.0, 1.0)), q=draw(st.floats(0.01, 1.0)),
-                plr=draw(st.floats(0.0, 1.0)))
+    kind = draw(st.sampled_from(["gilbert", "uniform", "none"]))
+    drawn = dict(p=draw(st.floats(0.0, 1.0)), q=draw(st.floats(0.01, 1.0)),
+                 plr=draw(st.floats(0.0, 1.0)))
+    # all three are drawn for every kind, which keeps the examples spread
+    # over the kinds; the scenario carries only those its kind reads
+    loss = {"kind": kind, **{name: value for name, value in drawn.items()
+                             if f"loss.{name}" in LOSS_READS[kind]}}
     if broken is not None:
-        value = draw(st.sampled_from(INVALID[broken]))
+        if broken.startswith("loss.") and broken != "loss.kind" \
+                and broken not in LOSS_READS[kind]:
+            # a field the kind never reads: any nonzero value is rejected
+            value = draw(st.floats(0.01, 1.0))
+        else:
+            value = draw(st.sampled_from(INVALID[broken]))
         if broken.startswith("loss."):
-            name = broken[len("loss."):]
-            loss[name] = value
-            if name != "kind":
-                loss["kind"] = "uniform" if name == "plr" else "gilbert"
+            loss[broken.removeprefix("loss.")] = value
         else:
             fields[broken] = value
     return Scenario(loss=LossSpec(**loss), **fields), broken
@@ -724,7 +738,7 @@ class TestScenarioFuzz:
             assert acks == [t + net.receiver_delay_s for t in times
                             if t + net.receiver_delay_s <= sc.duration_s]
         assert sum(fs.wireless_drops for fs in result.flows) \
-            == sum(dropped for _, dropped, _ in result.loss_trace)
+            == sum(dropped for _, dropped in result.loss_trace)
         for ctrl, trace in zip(result.controllers, result.traces):
             # so allowed_in_flight's int(cwnd) is never below two
             assert ctrl.cwnd >= MIN_SSTHRESH

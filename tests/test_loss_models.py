@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zigzagsim.kernel import RngStream
-from zigzagsim.loss import (BAD, GOOD, GilbertElliottModel, InfiniteBurstError,
+from zigzagsim.loss import (GilbertElliottModel, InfiniteBurstError,
                             UndefinedChainError, UniformLossModel,
                             mean_burst_length, simulate_trace,
                             steady_state_plr, trace_statistics)
@@ -74,7 +74,7 @@ class TestBulkDraws:
 
         def state(model):
             # only the Gilbert chain has a state
-            return model.state if isinstance(model, GilbertElliottModel) \
+            return model.bad if isinstance(model, GilbertElliottModel) \
                 else None
 
         model, draws = make(), source()
@@ -150,10 +150,10 @@ class TestGilbert:
         # draw 0.005 < p moves Good->Bad before the drop decision
         model = GilbertElliottModel(p=0.01, q=0.5)
         assert model.should_drop(FixedRng([0.005]))
-        assert model.state == BAD
+        assert model.bad
         # draw 0.4 < q moves Bad->Good, so no drop
         assert not model.should_drop(FixedRng([0.4]))
-        assert model.state == GOOD
+        assert not model.bad
 
     def test_table_couple_001_05_empirical_plr(self):
         model = GilbertElliottModel(p=0.01, q=0.5)
