@@ -177,6 +177,9 @@ class Sender:
         self.trace = ControllerTrace(flow_id)
         self.stats = FlowStats()
         self.outstanding = {}  # seq -> sent_at, insertion = seq order
+        # (seq, sent_at) of each delivered packet whose fb event is pending;
+        # the flow's fb events fire in the order they are scheduled
+        self._feedback = deque()
         # the DUP_THRESHOLD latest reported seqs, oldest first
         self._reported = deque([-1] * DUP_THRESHOLD, maxlen=DUP_THRESHOLD)
         self._deadline = inf  # timeout time; inf while nothing is out
@@ -234,8 +237,9 @@ class Sender:
                 # returns after the fixed lossless reverse path
                 stats.delivered += 1
                 stats.delivery_times.append(outcome)
+                self._feedback.append((seq, now))
                 self.sim.schedule_at(outcome + self.receiver_delay_s,
-                                     partial(self.on_feedback, seq, now), "fb")
+                                     self.on_feedback, "fb")
         if was_idle and out:
             self._restart_timer()
         # a full window opens only in on_feedback or _on_timeout, which
@@ -247,7 +251,8 @@ class Sender:
 
     # -- feedback processing -------------------------------------------
 
-    def on_feedback(self, seq, sent_at):
+    def on_feedback(self):
+        seq, sent_at = self._feedback.popleft()
         now = self.sim.now
         if self._next_gen <= now:
             self.generate_until(now)

@@ -2,6 +2,7 @@
 
 import heapq
 import random
+from collections import deque
 
 
 class PastTimeError(ValueError):
@@ -14,11 +15,18 @@ class Simulator:
     Events fire in (fire_at, insertion seq) order; equal timestamps are
     FIFO.  An optional event log records (time, seq, tag) per dispatched
     event for determinism hashing.
+
+    Most events are scheduled in the order they come due, so the queue has
+    two lanes, as a calendar queue has buckets (Brown, CACM 1988): a FIFO
+    lane takes each event due no earlier than its tail, which keeps it
+    sorted by (fire_at, seq) with no heap work, and a heap takes the rest.
+    Dispatch takes the lower of the two heads.
     """
 
     def __init__(self, log_events=False):
         self.now = 0.0
-        self._queue = []
+        self._lane = deque()
+        self._heap = []
         self._seq = 0
         self.event_log = [] if log_events else None
 
@@ -30,7 +38,12 @@ class Simulator:
         if not fire_at >= self.now:
             raise PastTimeError(
                 f"cannot schedule at t={fire_at} (clock is {self.now})")
-        heapq.heappush(self._queue, (fire_at, self._seq, action, tag))
+        entry = (fire_at, self._seq, action, tag)
+        lane = self._lane
+        if not lane or fire_at >= lane[-1][0]:
+            lane.append(entry)
+        else:
+            heapq.heappush(self._heap, entry)
         self._seq += 1
 
     def run_until(self, t_end):
@@ -42,12 +55,22 @@ class Simulator:
         if not t_end >= self.now:
             raise PastTimeError(
                 f"cannot run to t={t_end} (clock is {self.now})")
-        queue = self._queue
+        lane = self._lane
+        heap = self._heap
         log = self.event_log
+        popleft = lane.popleft
         pop = heapq.heappop
         count = 0
-        while queue and queue[0][0] <= t_end:
-            fire_at, seq, action, tag = pop(queue)
+        while True:
+            # seqs are unique, so comparing entries never reaches the action
+            if heap and (not lane or heap[0] < lane[0]):
+                if heap[0][0] > t_end:
+                    break
+                fire_at, seq, action, tag = pop(heap)
+            elif lane and lane[0][0] <= t_end:
+                fire_at, seq, action, tag = popleft()
+            else:
+                break
             self.now = fire_at
             if log is not None:
                 log.append((fire_at, seq, tag))
@@ -57,13 +80,14 @@ class Simulator:
         return count
 
     def drop_pending(self):
-        """Discard every queued event.
+        """Discard every queued event, in both lanes.
 
         An action often holds its owner, which holds this simulator, so
         a finished run is freed by reference counting alone only once
         the events it will never run are gone.
         """
-        self._queue.clear()
+        self._lane.clear()
+        self._heap.clear()
 
 
 class RngStream:

@@ -356,7 +356,8 @@ class TestLazySource:
         # the first two instants filled the two-packet window; none since
         assert fired(sim, "gen") == [0.0, 0.0 + 8000 / 1.0e6]
         assert sender.stats.sent == 2
-        assert not any(entry[3] == "gen" for entry in sim._queue)
+        assert not any(entry[3] == "gen"
+                       for entry in [*sim._lane, *sim._heap])
         sender.generate_until(sim.now)
         assert sender.stats.generated \
             == len(cbr_instants(0.0, 8000 / 1.0e6, sim.now))
@@ -627,6 +628,27 @@ LOSS_READS = {"gilbert": ("loss.p", "loss.q"), "uniform": ("loss.plr",),
               "none": ()}
 
 
+# a loss field's value is read only under its kind; p is walked with a
+# valid q, so that only the walked field is out of range
+READER_LOSS = {"loss.p": LossSpec("gilbert", q=0.5),
+               "loss.q": LossSpec("gilbert"),
+               "loss.plr": LossSpec("uniform")}
+
+
+@pytest.mark.parametrize("field,value", [
+    (name, value) for name in sorted(INVALID) for value in INVALID[name]],
+    ids=str)
+def test_each_invalid_value_rejected_naming_its_field(field, value):
+    if field.startswith("loss."):
+        spec = READER_LOSS.get(field, LossSpec())
+        sc = Scenario(loss=replace(spec, **{field.removeprefix("loss."):
+                                            value}))
+    else:
+        sc = Scenario(**{field: value})
+    with pytest.raises(ScenarioError, match=f"^{re.escape(field)}:"):
+        run_scenario(sc)
+
+
 @st.composite
 def fuzzed_scenarios(draw):
     """A short scenario, and the one field made invalid or None."""
@@ -673,18 +695,20 @@ def check_loss_events_per_feedback(sender):
     event of that many packets.
 
     The ``fb`` events bind ``on_feedback`` when they are scheduled, in
-    ``try_send``, so this must run before the simulation starts.
+    ``try_send``, so this must run before the simulation starts.  The seq
+    is the head of the flow's pending feedback, which the call pops.
     """
     on_feedback = sender.on_feedback
     last_reported = [-1]
 
-    def checked(seq, sent_at):
+    def checked():
+        seq, _ = sender._feedback[0]
         # the premise of the loss rule: reports arrive in seq order
         assert seq > last_reported[0]
         last_reported[0] = seq
         before = set(sender.outstanding)
         rows = len(sender.trace)
-        on_feedback(seq, sent_at)
+        on_feedback()
         lost = sorted(before - set(sender.outstanding) - {seq})
         losses = [r.n for r in islice(sender.trace, rows, None)
                   if r.event_type == "loss"]
@@ -695,6 +719,33 @@ def check_loss_events_per_feedback(sender):
             assert losses == []
 
     sender.on_feedback = checked
+
+
+def record_sends(path):
+    """Wrap ``path.send`` to keep each packet's send time and outcome by
+    (flow_id, seq)."""
+    sends = {}
+    send = path.send
+
+    def recorded(now, flow_id, seq, size_bytes):
+        outcome = send(now, flow_id, seq, size_bytes)
+        sends[flow_id, seq] = now, outcome
+        return outcome
+
+    path.send = recorded
+    return sends
+
+
+def record_feedback(sender, popped):
+    """Wrap ``sender.on_feedback`` to append (time, flow_id, seq, sent_at)
+    to ``popped`` for each fb event, before it pops its pending entry."""
+    on_feedback = sender.on_feedback
+
+    def recorded():
+        popped.append((sender.sim.now, sender.flow_id, *sender._feedback[0]))
+        on_feedback()
+
+    sender.on_feedback = recorded
 
 
 class TestScenarioFuzz:
@@ -719,6 +770,41 @@ class TestScenarioFuzz:
         a, b = (result.loss_trace for result in pair)
         n = min(len(a), len(b))
         assert a[:n] == b[:n]
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(fuzzed_scenarios().filter(lambda case: case[1] is None))
+    def test_fb_events_pop_their_own_feedback_in_order(self, case):
+        """fb events come due in the order they are scheduled, across all
+        flows, so each pops its own packet from its flow's FIFO."""
+        sc, _ = case
+        for policy in (BASELINE, ZIGZAG):
+            net = Network(sc.with_policy(policy), log_events=True)
+            sends = record_sends(net.path)
+            popped = []
+            for sender in net.senders:
+                record_feedback(sender, popped)
+            net.run()
+            fb_times = fired(net.sim, "fb")
+            assert fb_times == sorted(fb_times)
+            assert [t for t, *_ in popped] == fb_times
+            delay = net.receiver_delay_s
+            for t, flow_id, seq, sent_at in popped:
+                sent, delivery = sends[flow_id, seq]
+                assert (sent_at, t) == (sent, delivery + delay)
+            for sender in net.senders:
+                fed_back = [seq for _, flow_id, seq, _ in popped
+                            if flow_id == sender.flow_id]
+                # every delivered packet, in seq order, its feedback
+                # pending if due after the horizon
+                delivered = [(seq, sent_at, out) for (flow_id, seq),
+                             (sent_at, out) in sends.items()
+                             if flow_id == sender.flow_id
+                             and isinstance(out, float)]
+                due = [seq for seq, _, out in delivered
+                       if out + delay <= sc.duration_s]
+                assert fed_back == due
+                assert list(sender._feedback) == [
+                    (seq, sent_at) for seq, sent_at, _ in delivered[len(due):]]
 
     @staticmethod
     def check_run(sc, net, result):
