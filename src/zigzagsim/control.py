@@ -32,13 +32,6 @@ class EstimatorNotReady(RuntimeError):
     """classify_loss needs at least one ROTT sample."""
 
 
-def estimate_rott(rtt):
-    """ROTT approximated at the sender as one half of the measured RTT."""
-    if rtt <= 0.0:
-        raise ValueError(f"rtt must be positive, got {rtt}")
-    return rtt / 2.0
-
-
 @dataclass
 class RottEstimator:
     """Exponential average and mean deviation of ROTT samples.
@@ -142,24 +135,20 @@ class CongestionController:
     def phase(self):
         return SLOW_START if self.cwnd < self.ssthresh else CONGESTION_AVOIDANCE
 
-    def allowed_in_flight(self):
-        """Window in whole packets; cwnd never falls below MIN_SSTHRESH."""
-        return int(self.cwnd)
-
     def on_ack(self, rtt, window_limited=True):
         """Process the acknowledgement of one new packet; returns the ROTT
-        sample it gave the estimator.
+        sample, RTT/2, that it gave the estimator.  The estimator rejects
+        a non-positive sample, so a non-positive RTT raises ValueError.
 
-        The window only grows while the window is the binding constraint;
-        an application-limited sender must not inflate cwnd.
+        The window grows by one packet in slow start and by 1/cwnd in
+        congestion avoidance, and only while the window is the binding
+        constraint; an application-limited sender must not inflate cwnd.
         """
-        rott_i = estimate_rott(rtt)
+        rott_i = rtt / 2.0
         self.estimator.update(rott_i)
         if window_limited:
-            if self.phase == SLOW_START:
-                self.cwnd += 1
-            else:
-                self.cwnd += 1 / self.cwnd
+            cwnd = self.cwnd
+            self.cwnd = cwnd + 1 if cwnd < self.ssthresh else cwnd + 1 / cwnd
         return rott_i
 
     def on_loss_event(self, event, forced_congestion=False):
@@ -231,6 +220,9 @@ KIND_CODES = {kind: code for code, kind in enumerate(ROW_KINDS)}
 # the kinds of row that may shrink cwnd under either policy
 HALVING_CODES = frozenset(KIND_CODES[phase, "loss", CONGESTION]
                           for phase in (SLOW_START, CONGESTION_AVOIDANCE))
+# the kind code of an ack row, indexed by the slow-start test cwnd < ssthresh
+ACK_CODES = tuple(KIND_CODES[phase, "ack", ""]
+                  for phase in (CONGESTION_AVOIDANCE, SLOW_START))
 
 
 # One packed trace row: t, cwnd, kind code, n, and the ROTT sample, mean
@@ -251,18 +243,26 @@ class ControllerTrace:
         self.flow_id = flow_id
         self.rows = bytearray()
 
-    def append(self, t, cwnd, phase, event_type, loss_class, n, rott_i,
-               rott_mean, rott_dev):
-        self.rows += ROW.pack(t, cwnd,
-                              KIND_CODES[phase, event_type, loss_class], n,
-                              rott_i, rott_mean, rott_dev)
+    def ack(self, t, ctrl, rott_i):
+        """Append the row of the ACK that ``ctrl`` has just processed."""
+        cwnd = ctrl.cwnd
+        est = ctrl.estimator
+        self.rows += ROW.pack(t, cwnd, ACK_CODES[cwnd < ctrl.ssthresh], 0,
+                              rott_i, est.mean, est.dev)
+
+    def loss(self, t, ctrl, loss_class, n, rott_i):
+        """Append the row of the loss event ``ctrl`` has just classified."""
+        est = ctrl.estimator
+        self.rows += ROW.pack(t, ctrl.cwnd,
+                              KIND_CODES[ctrl.phase, "loss", loss_class], n,
+                              rott_i, est.mean, est.dev)
 
     def __len__(self):
         return len(self.rows) // ROW.size
 
     def unpack(self):
         """Each row as a (t, cwnd, kind, n, rott_i, mean, dev) tuple; until
-        the reader is exhausted or dropped, append raises BufferError."""
+        the reader is exhausted or dropped, ack and loss raise BufferError."""
         return ROW.iter_unpack(self.rows)
 
     def __iter__(self):

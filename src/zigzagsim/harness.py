@@ -221,7 +221,8 @@ class Sender:
         now = self.sim.now
         send = self.path.send
         size_bytes = self.scenario.packet_size_bytes
-        window = self.ctrl.allowed_in_flight()
+        # whole packets; cwnd never falls below MIN_SSTHRESH
+        window = int(self.ctrl.cwnd)
         was_idle = not out
         while stats.generated > stats.sent and len(out) < window:
             seq = stats.sent
@@ -259,12 +260,10 @@ class Sender:
         ctrl = self.ctrl
         out = self.outstanding
         window_limited = self.stats.generated > self.stats.sent or \
-            len(out) + 1 >= ctrl.allowed_in_flight()
+            len(out) + 1 >= int(ctrl.cwnd)
         out.pop(seq, None)
         rott_i = ctrl.on_ack(now - sent_at, window_limited)
-        est = ctrl.estimator
-        self.trace.append(now, ctrl.cwnd, ctrl.phase, "ack", "", 0, rott_i,
-                          est.mean, est.dev)
+        self.trace.ack(now, ctrl, rott_i)
         # the outstanding seqs below the DUP_THRESHOLD-th latest report
         # are lost (no retransmission)
         reported = self._reported
@@ -287,11 +286,9 @@ class Sender:
             del out[s]
         n = len(lost)
         ctrl = self.ctrl
-        est = ctrl.estimator
         cls = ctrl.on_loss_event(LossEvent(n=n, rott_at_detection=rott_i),
                                  forced_congestion=forced)
-        self.trace.append(self.sim.now, ctrl.cwnd, ctrl.phase, "loss", cls, n,
-                          rott_i, est.mean, est.dev)
+        self.trace.loss(self.sim.now, ctrl, cls, n, rott_i)
 
     # -- timeout fallback ----------------------------------------------
 

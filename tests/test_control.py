@@ -4,26 +4,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zigzagsim.control import (BASELINE, CONGESTION, MIN_SSTHRESH,
+from zigzagsim.control import (BASELINE, CONGESTION, CONGESTION_AVOIDANCE,
+                               KIND_CODES, MIN_SSTHRESH, ROW, SLOW_START,
                                WIRELESS, ZIGZAG, CongestionController,
-                               EstimatorNotReady, LossEvent, RottEstimator,
-                               TraceRecord, classify_loss, estimate_rott)
+                               ControllerTrace, EstimatorNotReady, LossEvent,
+                               RottEstimator, TraceRecord, classify_loss)
+from zigzagsim.harness import ForwardPath, Sender
+from zigzagsim.kernel import RngStream, Simulator
+from zigzagsim.scenario import Scenario
 
 
 class TestEstimateRott:
+    """The ROTT sample on_ack returns, and gives its estimator."""
+
     def test_half_of_rtt(self):
-        assert estimate_rott(0.600) == pytest.approx(0.300)
-        assert estimate_rott(0.850) == pytest.approx(0.425)
+        assert CongestionController().on_ack(0.600) == pytest.approx(0.300)
+        assert CongestionController().on_ack(0.850) == pytest.approx(0.425)
 
     def test_uncongested_topology_rott(self):
         # 2 * (0.100 + 0.200) s of propagation, halved
-        assert estimate_rott(2 * (0.100 + 0.200)) == pytest.approx(0.300)
+        assert CongestionController().on_ack(2 * (0.100 + 0.200)) \
+            == pytest.approx(0.300)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            estimate_rott(0.0)
+            CongestionController().on_ack(0.0)
         with pytest.raises(ValueError):
-            estimate_rott(-1.0)
+            CongestionController().on_ack(-1.0)
 
 
 class TestRottEstimator:
@@ -141,11 +148,26 @@ class TestClassifyLoss:
             == oracle_classify(n, rott_i, mean, dev)
 
 
+def packets_sent_at(cwnd):
+    """Packets a sender with a backlog of ten puts in flight at once, with
+    its controller's window set to ``cwnd``, or left as built if None."""
+    sc = Scenario()
+    sender = Sender(Simulator(), 0, sc,
+                    ForwardPath(sc.queue_capacity_pkts, None,
+                                RngStream(1).substream("loss"),
+                                sc.duration_s), 0.5, 0.0)
+    if cwnd is not None:
+        sender.ctrl.cwnd = cwnd
+    sender.stats.generated = 10
+    sender.try_send()
+    return len(sender.outstanding)
+
+
 class TestCongestionController:
     def test_slow_start_exponential_growth(self):
         ctrl = CongestionController(policy=BASELINE, cwnd=2.0, ssthresh=64.0)
         for _ in range(2):
-            assert ctrl.on_ack(rtt=0.6) == estimate_rott(0.6)
+            assert ctrl.on_ack(rtt=0.6) == 0.6 / 2
         assert ctrl.cwnd == 2.0 + 1 + 1
         assert ctrl.phase == "slow_start"
 
@@ -153,7 +175,7 @@ class TestCongestionController:
         ctrl = CongestionController(policy=BASELINE, cwnd=10.0, ssthresh=5.0)
         expected = 10.0
         for _ in range(10):
-            assert ctrl.on_ack(rtt=0.6) == estimate_rott(0.6)
+            assert ctrl.on_ack(rtt=0.6) == 0.6 / 2
             expected += 1 / expected
         assert ctrl.cwnd == expected
         assert 10.9 < ctrl.cwnd < 11.0  # about one packet per window
@@ -172,18 +194,17 @@ class TestCongestionController:
         ctrl = CongestionController()
         before = ctrl.estimator.sample_count
         # the sample given to the estimator is the one returned
-        assert ctrl.on_ack(rtt=0.6) == estimate_rott(0.6)
+        assert ctrl.on_ack(rtt=0.6) == 0.6 / 2
         assert ctrl.estimator.sample_count == before + 1
-        assert ctrl.estimator.mean == estimate_rott(0.6)
-        assert ctrl.on_ack(rtt=0.9) == estimate_rott(0.9)
+        assert ctrl.estimator.mean == 0.6 / 2
+        assert ctrl.on_ack(rtt=0.9) == 0.9 / 2
         assert ctrl.estimator.mean \
-            == (1.0 - ctrl.estimator.alpha) * estimate_rott(0.6) \
-            + ctrl.estimator.alpha * estimate_rott(0.9)
+            == (1.0 - ctrl.estimator.alpha) * (0.6 / 2) \
+            + ctrl.estimator.alpha * (0.9 / 2)
 
     def test_app_limited_ack_does_not_grow(self):
         ctrl = CongestionController(cwnd=10.0, ssthresh=5.0)
-        assert ctrl.on_ack(rtt=0.6, window_limited=False) \
-            == estimate_rott(0.6)
+        assert ctrl.on_ack(rtt=0.6, window_limited=False) == 0.6 / 2
         assert ctrl.cwnd == pytest.approx(10.0)
 
     def test_baseline_always_halves(self):
@@ -241,13 +262,11 @@ class TestCongestionController:
         assert ctrl.congestion_events + ctrl.wireless_events == len(events)
 
     def test_allowed_in_flight_floor(self):
-        ctrl = CongestionController(cwnd=4.7)
-        assert ctrl.allowed_in_flight() == 4
-        ctrl.cwnd = 1.0
-        assert ctrl.allowed_in_flight() == 1
+        assert packets_sent_at(4.7) == 4
+        assert packets_sent_at(1.0) == 1
 
     def test_fresh_controller_initial_window(self):
-        assert CongestionController().allowed_in_flight() == 2
+        assert packets_sent_at(None) == 2
 
     def test_invalid_policy(self):
         with pytest.raises(ValueError):
@@ -260,8 +279,8 @@ class TestCongestionController:
         with pytest.raises(ValueError, match=name):
             CongestionController(**{name: value})
         # the floor itself is a valid window
-        assert CongestionController(**{name: MIN_SSTHRESH}) \
-            .allowed_in_flight() >= MIN_SSTHRESH
+        assert int(CongestionController(**{name: MIN_SSTHRESH}).cwnd) \
+            >= MIN_SSTHRESH
 
     def test_loss_event_requires_positive_n(self):
         with pytest.raises(ValueError):
@@ -276,3 +295,73 @@ class TestTraceRecord:
         assert not hasattr(row, "__dict__")
         with pytest.raises(AttributeError):
             row.seq = 1
+
+
+# one controller call: ("ack", rtt, window_limited) or ("loss", n,
+# rott_at_detection, forced_congestion)
+CALLS = st.one_of(
+    st.tuples(st.just("ack"), st.floats(0.01, 5.0), st.booleans()),
+    st.tuples(st.just("loss"), st.integers(1, 8), st.floats(0.0, 2.5),
+              st.booleans()))
+
+
+class TestFoldedAckPath:
+    """on_ack and the trace writers against a reference written out here
+    with the formulas of the accessors they no longer call: the ROTT
+    sample is RTT/2, the window grows by one below ssthresh and by 1/cwnd
+    otherwise, and a row packs (phase, event, class) through KIND_CODES."""
+
+    @staticmethod
+    def reference_class(policy, strict_n4, forced, samples, n, rott_i, mean,
+                        dev):
+        if forced or policy == BASELINE or samples == 0 \
+                or (strict_n4 and n >= 5):
+            return CONGESTION
+        return oracle_classify(n, rott_i, mean, dev)
+
+    @given(policy=st.sampled_from([BASELINE, ZIGZAG]),
+           strict_n4=st.booleans(),
+           cwnd=st.floats(MIN_SSTHRESH, 300.0),
+           ssthresh=st.floats(MIN_SSTHRESH, 300.0),
+           calls=st.lists(CALLS, max_size=40))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_calls_match_the_reference(self, policy, strict_n4, cwnd,
+                                       ssthresh, calls):
+        ctrl = CongestionController(policy=policy, strict_n4=strict_n4,
+                                    cwnd=cwnd, ssthresh=ssthresh)
+        trace = ControllerTrace(0)
+        a = ctrl.estimator.alpha
+        mean = dev = 0.0
+        samples = 0
+        for t, call in enumerate(calls):
+            before = len(trace.rows)
+            if call[0] == "ack":
+                _, rtt, window_limited = call
+                rott_i = rtt / 2
+                assert ctrl.on_ack(rtt, window_limited) == rott_i
+                if samples == 0:
+                    mean = rott_i
+                else:
+                    mean = (1.0 - a) * mean + a * rott_i
+                    dev = (1.0 - 2.0 * a) * dev \
+                        + 2.0 * a * abs(rott_i - mean)
+                samples += 1
+                if window_limited:
+                    cwnd += 1 if cwnd < ssthresh else 1 / cwnd
+                trace.ack(t, ctrl, rott_i)
+                event, cls, n = "ack", "", 0
+            else:
+                _, n, rott_i, forced = call
+                cls = self.reference_class(policy, strict_n4, forced,
+                                           samples, n, rott_i, mean, dev)
+                assert ctrl.on_loss_event(LossEvent(n, rott_i),
+                                          forced_congestion=forced) == cls
+                if cls == CONGESTION:
+                    ssthresh = max(cwnd / 2.0, MIN_SSTHRESH)
+                    cwnd = ssthresh
+                trace.loss(t, ctrl, cls, n, rott_i)
+                event = "loss"
+            assert (ctrl.cwnd, ctrl.ssthresh) == (cwnd, ssthresh)
+            phase = SLOW_START if cwnd < ssthresh else CONGESTION_AVOIDANCE
+            assert trace.rows[before:] == ROW.pack(
+                t, cwnd, KIND_CODES[phase, event, cls], n, rott_i, mean, dev)

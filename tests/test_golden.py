@@ -31,6 +31,10 @@ before the derived state was dropped.
 The trace and series CSVs that ``run`` and ``matrix --out`` write are pinned
 by their sha256, so a writer that changes how it writes must still write
 the same bytes.
+
+Each run's event log, its ``(time, seq, tag)`` entries in dispatch order,
+is pinned by its sha256 as well, so a change to the event queue or to the
+order in which a sender schedules must leave the dispatch order as it is.
 """
 
 import hashlib
@@ -67,6 +71,8 @@ GOLDEN = {
                             "e0c0d336d2ac3fefe1cfbeedab49bb7c",
         "series_csv_sha256": "5669105ef9e6751a38e7b740f7d6c1f5"
                              "8e521d6c68bfbf528cd687dfea0a2eb8",
+        "event_log_sha256": "c1e71f8a71839c22e6a3a2a688d17360"
+                            "4170aec13a6abf66b80aad81d170f0c7",
     },
     "zigzag": {
         "trace_hash": "54fd7c2c4cfe4c233f66d18ea41d448e"
@@ -86,6 +92,8 @@ GOLDEN = {
                             "4e09a10330d8570608b2b2e614277eb1",
         "series_csv_sha256": "32d9c3eec2ad07e2b3a240abb5cddb12"
                              "fb990ad77bfd3f7bc71203f2cb8bad6b",
+        "event_log_sha256": "9aadafb0377164ffbd4db225383b917c"
+                            "a00270174698e493e893830068c86fdc",
     },
 }
 
@@ -120,6 +128,7 @@ def test_golden_pair(policy, tmp_path):
     events = dict(Counter(entry[2] for entry in net.sim.event_log))
     assert events == golden["events"]
     assert result.events_dispatched == sum(events.values())
+    assert digest(net.sim.event_log) == golden["event_log_sha256"]
     # the bytes of the artefacts ``run`` and ``matrix --out`` write
     trace_path = tmp_path / "trace.csv"
     series_path = tmp_path / "series.csv"
@@ -156,3 +165,33 @@ def test_loss_flags_and_delivery_times_are_packed():
     assert deliveries > 1000
     assert sum(sys.getsizeof(fs.delivery_times) - empty
                for fs in result.flows) / deliveries <= 8
+
+
+def test_golden_run_makes_at_most_10_6_python_calls_per_packet():
+    """Python-function calls during the golden zigzag run, per delivered
+    packet, counted exactly as the ``call`` events of ``sys.setprofile``.
+
+    The count is the same on every run, so it guards the per-packet path
+    against added Python work without timing anything: 14.47 calls per
+    packet before on_ack and the trace writers stopped calling accessors,
+    10.50 after.  Work done in C (a builtin, a ``struct`` pack, a ``deque``
+    operation) does not show in it, so a change that moves work into C
+    can be faster at an equal count.
+    """
+    net = Network(SCENARIO.with_policy("zigzag"))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = net.run()
+    finally:
+        sys.setprofile(previous)
+    delivered = sum(fs.delivered for fs in result.flows)
+    assert delivered == GOLDEN["zigzag"]["totals"]["delivered"]
+    assert calls / delivered <= 10.6

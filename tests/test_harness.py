@@ -826,7 +826,7 @@ class TestScenarioFuzz:
         assert sum(fs.wireless_drops for fs in result.flows) \
             == sum(dropped for _, dropped in result.loss_trace)
         for ctrl, trace in zip(result.controllers, result.traces):
-            # so allowed_in_flight's int(cwnd) is never below two
+            # so the sender's window, int(cwnd), is never below two
             assert ctrl.cwnd >= MIN_SSTHRESH
             assert all(r.cwnd >= MIN_SSTHRESH for r in trace)
             times = [r.t for r in trace]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zigzagsim import metrics
-from zigzagsim.control import ControllerTrace, TraceRecord
+from zigzagsim.control import KIND_CODES, ROW, ControllerTrace, TraceRecord
 from zigzagsim.harness import FlowStats, run_scenario
 from zigzagsim.scenario import LossSpec, Scenario
 
@@ -142,10 +142,12 @@ class Traces:
 
 
 def trace_of(flow_id, rows):
-    """A ControllerTrace filled through the append the harness calls."""
+    """A ControllerTrace holding ``rows`` of (t, cwnd, phase, event_type,
+    loss_class, n, rott_i, mean, dev), each packed as one ROW."""
     trace = ControllerTrace(flow_id)
-    for row in rows:
-        trace.append(*row)
+    for t, cwnd, phase, event, cls, n, rott_i, mean, dev in rows:
+        trace.rows += ROW.pack(t, cwnd, KIND_CODES[phase, event, cls], n,
+                               rott_i, mean, dev)
     return trace
 
 
