@@ -9,7 +9,7 @@ exponential mean and deviation.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 BASELINE = "baseline"
 ZIGZAG = "zigzag"
@@ -28,42 +28,6 @@ INITIAL_SSTHRESH = 50.0
 MIN_SSTHRESH = 2.0
 
 
-class EstimatorNotReady(RuntimeError):
-    """classify_loss needs at least one ROTT sample."""
-
-
-@dataclass
-class RottEstimator:
-    """Exponential average and mean deviation of ROTT samples.
-
-    The mean is updated first and its new value is used inside the
-    deviation's absolute difference.  The first sample initializes
-    mean = sample, dev = 0.
-    """
-
-    alpha: float = DEFAULT_ALPHA
-    mean: float = 0.0
-    dev: float = 0.0
-    sample_count: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 0.5):
-            raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
-
-    def update(self, rott_i):
-        if rott_i <= 0.0:
-            raise ValueError(f"rott sample must be positive, got {rott_i}")
-        a = self.alpha
-        if self.sample_count == 0:
-            self.mean = rott_i
-            self.dev = 0.0
-        else:
-            self.mean = (1.0 - a) * self.mean + a * rott_i
-            self.dev = (1.0 - 2.0 * a) * self.dev \
-                + 2.0 * a * abs(rott_i - self.mean)
-        self.sample_count += 1
-
-
 @dataclass
 class LossEvent:
     """A maximal run of n consecutive missing sequence numbers."""
@@ -76,7 +40,7 @@ class LossEvent:
             raise ValueError("loss event needs n >= 1")
 
 
-def classify_loss(n, rott_i, mean, dev, sample_count=1, strict_n4=False):
+def classify_loss(n, rott_i, mean, dev, strict_n4=False):
     """Classify one loss event as WIRELESS or CONGESTION.
 
     Wireless iff one of:
@@ -88,8 +52,6 @@ def classify_loss(n, rott_i, mean, dev, sample_count=1, strict_n4=False):
     With strict_n4, the last rule applies to n = 4 only and n >= 5 is
     always congestion.
     """
-    if sample_count < 1:
-        raise EstimatorNotReady("no ROTT samples yet")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
@@ -111,41 +73,57 @@ class CongestionController:
 
     ``policy`` selects the reaction to loss events; everything else is
     identical between the two variants, so zero-loss runs are bitwise
-    equivalent.
+    equivalent.  ``mean`` and ``dev`` are the exponential average and
+    mean deviation, with gain ``alpha``, of the ``sample_count`` ROTT
+    samples taken so far.
     """
 
     policy: str = BASELINE
     strict_n4: bool = False
+    alpha: float = DEFAULT_ALPHA
     cwnd: float = INITIAL_CWND
     ssthresh: float = INITIAL_SSTHRESH
     congestion_events: int = 0
     wireless_events: int = 0
-    estimator: RottEstimator = field(default_factory=RottEstimator)
+    mean: float = 0.0
+    dev: float = 0.0
+    sample_count: int = 0
 
     def __post_init__(self):
         if self.policy not in (BASELINE, ZIGZAG):
             raise ValueError(f"unknown policy {self.policy!r}")
+        if not (0.0 < self.alpha < 0.5):
+            raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
         for name in ("cwnd", "ssthresh"):
             value = getattr(self, name)
             if not value >= MIN_SSTHRESH:
                 raise ValueError(
                     f"{name} must be >= {MIN_SSTHRESH}, got {value}")
 
-    @property
-    def phase(self):
-        return SLOW_START if self.cwnd < self.ssthresh else CONGESTION_AVOIDANCE
-
     def on_ack(self, rtt, window_limited=True):
-        """Process the acknowledgement of one new packet; returns the ROTT
-        sample, RTT/2, that it gave the estimator.  The estimator rejects
-        a non-positive sample, so a non-positive RTT raises ValueError.
+        """Process the acknowledgement of one new packet; returns its ROTT
+        sample, RTT/2.  A non-positive sample raises ValueError.
+
+        The first sample sets mean = sample and dev = 0.  After that the
+        mean is updated first, and its new value is used inside the
+        deviation's absolute difference.
 
         The window grows by one packet in slow start and by 1/cwnd in
         congestion avoidance, and only while the window is the binding
         constraint; an application-limited sender must not inflate cwnd.
         """
         rott_i = rtt / 2.0
-        self.estimator.update(rott_i)
+        if rott_i <= 0.0:
+            raise ValueError(f"rott sample must be positive, got {rott_i}")
+        if self.sample_count == 0:
+            self.mean = rott_i
+            self.dev = 0.0
+        else:
+            a = self.alpha
+            self.mean = mean = (1.0 - a) * self.mean + a * rott_i
+            self.dev = (1.0 - 2.0 * a) * self.dev \
+                + 2.0 * a * abs(rott_i - mean)
+        self.sample_count += 1
         if window_limited:
             cwnd = self.cwnd
             self.cwnd = cwnd + 1 if cwnd < self.ssthresh else cwnd + 1 / cwnd
@@ -155,16 +133,15 @@ class CongestionController:
         """React to one loss event; returns its class.
 
         Baseline policy treats every event as congestion.  Timeout-detected
-        events are forced to congestion under either policy.
+        events, and any before the first ROTT sample, are forced to
+        congestion under either policy.
         """
-        est = self.estimator
         if forced_congestion or self.policy == BASELINE \
-                or est.sample_count < 1:
+                or self.sample_count == 0:
             cls = CONGESTION
         else:
-            cls = classify_loss(event.n, event.rott_at_detection,
-                                est.mean, est.dev, est.sample_count,
-                                self.strict_n4)
+            cls = classify_loss(event.n, event.rott_at_detection, self.mean,
+                                self.dev, self.strict_n4)
         if cls == CONGESTION:
             self.ssthresh = max(self.cwnd / 2.0, MIN_SSTHRESH)
             self.cwnd = self.ssthresh
@@ -204,10 +181,7 @@ class TraceRecord:
 
     def as_row(self):
         """The row as one CSV line, without its terminator."""
-        return ROW_FORMAT % (
-            self.t, self.flow_id, self.cwnd, self.phase, self.event_type,
-            self.loss_class, self.n, self.rott_i, self.rott_mean,
-            self.rott_dev)
+        return ROW_FORMAT % astuple(self)
 
 
 # (phase, event_type, loss_class) of every row a controller can trace; a
@@ -217,12 +191,13 @@ ROW_KINDS = tuple((phase, event, cls)
                                      ("loss", CONGESTION))
                   for phase in (SLOW_START, CONGESTION_AVOIDANCE))
 KIND_CODES = {kind: code for code, kind in enumerate(ROW_KINDS)}
+# a row's phase, indexed by the slow-start test cwnd < ssthresh
+PHASES = (CONGESTION_AVOIDANCE, SLOW_START)
 # the kinds of row that may shrink cwnd under either policy
 HALVING_CODES = frozenset(KIND_CODES[phase, "loss", CONGESTION]
-                          for phase in (SLOW_START, CONGESTION_AVOIDANCE))
-# the kind code of an ack row, indexed by the slow-start test cwnd < ssthresh
-ACK_CODES = tuple(KIND_CODES[phase, "ack", ""]
-                  for phase in (CONGESTION_AVOIDANCE, SLOW_START))
+                          for phase in PHASES)
+# the kind code of an ack row, indexed as PHASES
+ACK_CODES = tuple(KIND_CODES[phase, "ack", ""] for phase in PHASES)
 
 
 # One packed trace row: t, cwnd, kind code, n, and the ROTT sample, mean
@@ -246,16 +221,14 @@ class ControllerTrace:
     def ack(self, t, ctrl, rott_i):
         """Append the row of the ACK that ``ctrl`` has just processed."""
         cwnd = ctrl.cwnd
-        est = ctrl.estimator
         self.rows += ROW.pack(t, cwnd, ACK_CODES[cwnd < ctrl.ssthresh], 0,
-                              rott_i, est.mean, est.dev)
+                              rott_i, ctrl.mean, ctrl.dev)
 
     def loss(self, t, ctrl, loss_class, n, rott_i):
         """Append the row of the loss event ``ctrl`` has just classified."""
-        est = ctrl.estimator
-        self.rows += ROW.pack(t, ctrl.cwnd,
-                              KIND_CODES[ctrl.phase, "loss", loss_class], n,
-                              rott_i, est.mean, est.dev)
+        cwnd = ctrl.cwnd
+        kind = KIND_CODES[PHASES[cwnd < ctrl.ssthresh], "loss", loss_class]
+        self.rows += ROW.pack(t, cwnd, kind, n, rott_i, ctrl.mean, ctrl.dev)
 
     def __len__(self):
         return len(self.rows) // ROW.size

@@ -20,7 +20,7 @@ from . import loss
 # TraceRecord is not used here but stays importable from this module: the
 # benchmark's tracer patches it by name
 from .control import (CongestionController, ControllerTrace, LossEvent,
-                      RottEstimator, TraceRecord)
+                      TraceRecord)
 from .kernel import RngStream, Simulator
 from .scenario import Scenario
 
@@ -139,12 +139,15 @@ class ForwardPath:
 @dataclass
 class FlowStats:
     sent: int = 0
-    delivered: int = 0
     queue_drops: int = 0
     wireless_drops: int = 0
     timeouts: int = 0
     generated: int = 0
     delivery_times: array = field(default_factory=partial(array, "d"))
+
+    @property
+    def delivered(self):
+        return len(self.delivery_times)
 
 
 class Sender:
@@ -172,8 +175,7 @@ class Sender:
         self.receiver_delay_s = receiver_delay_s
         self.ctrl = CongestionController(
             policy=scenario.policy, strict_n4=scenario.strict_n4,
-            ssthresh=scenario.initial_ssthresh_pkts,
-            estimator=RottEstimator(alpha=scenario.alpha))
+            alpha=scenario.alpha, ssthresh=scenario.initial_ssthresh_pkts)
         self.trace = ControllerTrace(flow_id)
         self.stats = FlowStats()
         self.outstanding = {}  # seq -> sent_at, insertion = seq order
@@ -236,7 +238,6 @@ class Sender:
             elif outcome is not IN_FLIGHT:
                 # the receiver: the packet is delivered, and its feedback
                 # returns after the fixed lossless reverse path
-                stats.delivered += 1
                 stats.delivery_times.append(outcome)
                 self._feedback.append((seq, now))
                 self.sim.schedule_at(outcome + self.receiver_delay_s,
@@ -293,11 +294,11 @@ class Sender:
     # -- timeout fallback ----------------------------------------------
 
     def _rto(self):
-        est = self.ctrl.estimator
-        if est.sample_count == 0:
+        ctrl = self.ctrl
+        if ctrl.sample_count == 0:
             return INITIAL_RTO_S
         # 2 * smoothed RTT + 4 * RTT deviation, in ROTT terms
-        rto = 4.0 * est.mean + 8.0 * est.dev
+        rto = 4.0 * ctrl.mean + 8.0 * ctrl.dev
         return MIN_RTO_S if MIN_RTO_S > rto else rto
 
     def _restart_timer(self):
@@ -335,8 +336,9 @@ class Sender:
     def _on_timeout(self):
         now = self.sim.now
         self.generate_until(now)
-        est = self.ctrl.estimator
-        grace = 2.0 * est.mean if est.sample_count else DEFAULT_TIMEOUT_GRACE_S
+        ctrl = self.ctrl
+        grace = 2.0 * ctrl.mean if ctrl.sample_count \
+            else DEFAULT_TIMEOUT_GRACE_S
         # never empty: the oldest outstanding packet was sent at or before
         # the timer's last restart, and the deadline is _rto() after that,
         # which is at least grace (4 * mean >= 2 * mean, or 3.0 s against
@@ -344,7 +346,7 @@ class Sender:
         stale = [s for s, sent_at in self.outstanding.items()
                  if sent_at <= now - grace]
         self.stats.timeouts += 1
-        rott_i = est.mean if est.sample_count else 0.0
+        rott_i = ctrl.mean if ctrl.sample_count else 0.0
         # a silent window implies everything in it died: one event,
         # forced congestion
         self._apply_loss_event(stale, rott_i, forced=True)

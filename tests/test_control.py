@@ -5,17 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zigzagsim.control import (BASELINE, CONGESTION, CONGESTION_AVOIDANCE,
-                               KIND_CODES, MIN_SSTHRESH, ROW, SLOW_START,
-                               WIRELESS, ZIGZAG, CongestionController,
-                               ControllerTrace, EstimatorNotReady, LossEvent,
-                               RottEstimator, TraceRecord, classify_loss)
+                               INITIAL_CWND, KIND_CODES, MIN_SSTHRESH, ROW,
+                               SLOW_START, WIRELESS, ZIGZAG,
+                               CongestionController, ControllerTrace,
+                               LossEvent, TraceRecord, classify_loss)
 from zigzagsim.harness import ForwardPath, Sender
 from zigzagsim.kernel import RngStream, Simulator
 from zigzagsim.scenario import Scenario
 
 
 class TestEstimateRott:
-    """The ROTT sample on_ack returns, and gives its estimator."""
+    """The ROTT sample on_ack returns, and averages."""
 
     def test_half_of_rtt(self):
         assert CongestionController().on_ack(0.600) == pytest.approx(0.300)
@@ -34,60 +34,69 @@ class TestEstimateRott:
 
 
 class TestRottEstimator:
+    """The controller's running ROTT mean and deviation.  A sample r is fed
+    as on_ack(2 * r), which halves back to r exactly."""
+
     def test_fixed_point(self):
-        est = RottEstimator(alpha=0.125, mean=0.300, dev=0.0, sample_count=1)
-        est.update(0.300)
-        assert est.mean == pytest.approx(0.300)
-        assert est.dev == pytest.approx(0.0)
+        ctrl = CongestionController(alpha=0.125, mean=0.300, dev=0.0,
+                                    sample_count=1)
+        ctrl.on_ack(2 * 0.300)
+        assert ctrl.mean == pytest.approx(0.300)
+        assert ctrl.dev == pytest.approx(0.0)
 
     def test_update_uses_new_mean_in_deviation(self):
-        est = RottEstimator(alpha=0.125, mean=0.100, dev=0.020, sample_count=1)
-        est.update(0.180)
-        assert est.mean == pytest.approx(0.110)
-        assert est.dev == pytest.approx(0.0325)
+        ctrl = CongestionController(alpha=0.125, mean=0.100, dev=0.020,
+                                    sample_count=1)
+        ctrl.on_ack(2 * 0.180)
+        assert ctrl.mean == pytest.approx(0.110)
+        assert ctrl.dev == pytest.approx(0.0325)
 
     def test_first_sample_initializes(self):
-        est = RottEstimator(alpha=0.125)
-        est.update(0.42)
-        assert est.mean == 0.42
-        assert est.dev == 0.0
-        assert est.sample_count == 1
+        ctrl = CongestionController(alpha=0.125)
+        ctrl.on_ack(2 * 0.42)
+        assert ctrl.mean == 0.42
+        assert ctrl.dev == 0.0
+        assert ctrl.sample_count == 1
 
     def test_alpha_bounds(self):
-        with pytest.raises(ValueError):
-            RottEstimator(alpha=0.5)
-        with pytest.raises(ValueError):
-            RottEstimator(alpha=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            CongestionController(alpha=0.5)
+        with pytest.raises(ValueError, match="alpha"):
+            CongestionController(alpha=0.0)
 
     def test_rejects_nonpositive_sample(self):
-        est = RottEstimator()
+        ctrl = CongestionController()
         with pytest.raises(ValueError):
-            est.update(0.0)
+            ctrl.on_ack(2 * 0.0)
+        # rejected before it changes anything
+        assert (ctrl.sample_count, ctrl.cwnd) == (0, INITIAL_CWND)
 
     @given(r=st.floats(0.01, 10.0), k=st.integers(1, 60),
            alpha=st.floats(0.01, 0.49))
     @settings(max_examples=100, deadline=None)
     def test_mean_converges_geometrically(self, r, k, alpha):
-        est = RottEstimator(alpha=alpha, mean=5 * r, dev=r, sample_count=1)
+        ctrl = CongestionController(alpha=alpha, mean=5 * r, dev=r,
+                                    sample_count=1)
         for _ in range(k):
-            est.update(r)
+            ctrl.on_ack(2 * r)
         # exact geometric decay plus accumulated rounding slack
-        assert abs(est.mean - r) \
+        assert abs(ctrl.mean - r) \
             <= 4 * r * (1 - alpha) ** k * (1 + 1e-6) + 1e-10 * r
-        assert est.dev >= 0.0
+        assert ctrl.dev >= 0.0
 
     @given(r=st.floats(0.01, 10.0), d0=st.floats(0.001, 5.0),
            alpha=st.floats(0.01, 0.49))
     @settings(max_examples=100, deadline=None)
     def test_dev_decays_monotonically_at_converged_mean(self, r, d0, alpha):
-        est = RottEstimator(alpha=alpha, mean=r, dev=d0, sample_count=1)
-        prev = est.dev
+        ctrl = CongestionController(alpha=alpha, mean=r, dev=d0,
+                                    sample_count=1)
+        prev = ctrl.dev
         for _ in range(50):
-            est.update(r)
-            assert est.dev <= prev
-            prev = est.dev
+            ctrl.on_ack(2 * r)
+            assert ctrl.dev <= prev
+            prev = ctrl.dev
         # geometric decay down to the floating-point floor
-        assert est.dev \
+        assert ctrl.dev \
             <= d0 * (1 - 2 * alpha) ** 50 * (1 + 1e-6) + 1e-9 * (1 + r)
 
 
@@ -110,10 +119,6 @@ class TestClassifyLoss:
         assert classify_loss(1, 0.270, 0.300, 0.040) == CONGESTION
         assert classify_loss(4, 0.310, 0.300, 0.040) == WIRELESS
         assert classify_loss(4, 0.330, 0.300, 0.040) == CONGESTION
-
-    def test_unsampled_estimator_not_ready(self):
-        with pytest.raises(EstimatorNotReady):
-            classify_loss(1, 0.3, 0.3, 0.0, sample_count=0)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
@@ -169,7 +174,7 @@ class TestCongestionController:
         for _ in range(2):
             assert ctrl.on_ack(rtt=0.6) == 0.6 / 2
         assert ctrl.cwnd == 2.0 + 1 + 1
-        assert ctrl.phase == "slow_start"
+        assert ctrl.cwnd < ctrl.ssthresh  # still in slow start
 
     def test_congestion_avoidance_additive_increase(self):
         ctrl = CongestionController(policy=BASELINE, cwnd=10.0, ssthresh=5.0)
@@ -179,7 +184,7 @@ class TestCongestionController:
             expected += 1 / expected
         assert ctrl.cwnd == expected
         assert 10.9 < ctrl.cwnd < 11.0  # about one packet per window
-        assert ctrl.phase == "congestion_avoidance"
+        assert not ctrl.cwnd < ctrl.ssthresh  # congestion avoidance
 
     def test_growth_crosses_ssthresh(self):
         ctrl = CongestionController(policy=BASELINE, cwnd=3.0, ssthresh=5.0)
@@ -188,19 +193,18 @@ class TestCongestionController:
             ctrl.on_ack(rtt=0.6)
             expected += 1 if expected < 5.0 else 1 / expected
             assert ctrl.cwnd == expected
-        assert ctrl.phase == "congestion_avoidance"
+        assert not ctrl.cwnd < ctrl.ssthresh  # congestion avoidance
 
     def test_ack_feeds_estimator(self):
         ctrl = CongestionController()
-        before = ctrl.estimator.sample_count
-        # the sample given to the estimator is the one returned
+        before = ctrl.sample_count
+        # the sample averaged is the one returned
         assert ctrl.on_ack(rtt=0.6) == 0.6 / 2
-        assert ctrl.estimator.sample_count == before + 1
-        assert ctrl.estimator.mean == 0.6 / 2
+        assert ctrl.sample_count == before + 1
+        assert ctrl.mean == 0.6 / 2
         assert ctrl.on_ack(rtt=0.9) == 0.9 / 2
-        assert ctrl.estimator.mean \
-            == (1.0 - ctrl.estimator.alpha) * (0.6 / 2) \
-            + ctrl.estimator.alpha * (0.9 / 2)
+        assert ctrl.mean \
+            == (1.0 - ctrl.alpha) * (0.6 / 2) + ctrl.alpha * (0.9 / 2)
 
     def test_app_limited_ack_does_not_grow(self):
         ctrl = CongestionController(cwnd=10.0, ssthresh=5.0)
@@ -218,8 +222,8 @@ class TestCongestionController:
         assert ctrl.wireless_events == 0
 
     def test_zigzag_wireless_keeps_window(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0)
-        ctrl.estimator = RottEstimator(mean=0.300, dev=0.010, sample_count=10)
+        ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
+                                    mean=0.300, dev=0.010, sample_count=10)
         cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.250))
         assert cls == WIRELESS
         assert ctrl.cwnd == pytest.approx(16.0)
@@ -227,15 +231,15 @@ class TestCongestionController:
         assert ctrl.congestion_events == 0
 
     def test_zigzag_congestion_halves(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0)
-        ctrl.estimator = RottEstimator(mean=0.300, dev=0.010, sample_count=10)
+        ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
+                                    mean=0.300, dev=0.010, sample_count=10)
         cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.400))
         assert cls == CONGESTION
         assert ctrl.cwnd == pytest.approx(8.0)
 
     def test_halving_floor(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=3.0, ssthresh=2.0)
-        ctrl.estimator = RottEstimator(mean=0.300, dev=0.0, sample_count=5)
+        ctrl = CongestionController(policy=ZIGZAG, cwnd=3.0, ssthresh=2.0,
+                                    mean=0.300, dev=0.0, sample_count=5)
         ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.400))
         assert ctrl.cwnd == pytest.approx(2.0)
         assert ctrl.cwnd >= 1.0
@@ -244,17 +248,23 @@ class TestCongestionController:
         ctrl = CongestionController(policy=ZIGZAG, cwnd=10.0)
         cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.0))
         assert cls == CONGESTION
+        # a mean and deviation that would classify it wireless are not
+        # read before the first sample
+        ctrl = CongestionController(policy=ZIGZAG, cwnd=10.0, mean=0.300,
+                                    dev=0.010, sample_count=0)
+        cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.250))
+        assert cls == CONGESTION
 
     def test_forced_congestion_overrides_policy(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0)
-        ctrl.estimator = RottEstimator(mean=0.300, dev=0.010, sample_count=10)
+        ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
+                                    mean=0.300, dev=0.010, sample_count=10)
         cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.01),
                                  forced_congestion=True)
         assert cls == CONGESTION
 
     def test_counter_conservation(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=50.0, ssthresh=8.0)
-        ctrl.estimator = RottEstimator(mean=0.300, dev=0.010, sample_count=10)
+        ctrl = CongestionController(policy=ZIGZAG, cwnd=50.0, ssthresh=8.0,
+                                    mean=0.300, dev=0.010, sample_count=10)
         events = [LossEvent(n=n, rott_at_detection=r)
                   for n, r in [(1, 0.25), (2, 0.4), (1, 0.31), (4, 0.305)]]
         for ev in events:
@@ -306,10 +316,11 @@ CALLS = st.one_of(
 
 
 class TestFoldedAckPath:
-    """on_ack and the trace writers against a reference written out here
-    with the formulas of the accessors they no longer call: the ROTT
-    sample is RTT/2, the window grows by one below ssthresh and by 1/cwnd
-    otherwise, and a row packs (phase, event, class) through KIND_CODES."""
+    """on_ack and the trace writers against a reference written out here:
+    the ROTT sample is RTT/2, the mean and deviation follow the EWMA from
+    any starting alpha, mean, dev and sample count, the window grows by one
+    below ssthresh and by 1/cwnd otherwise, and a row packs (phase, event,
+    class) through KIND_CODES."""
 
     @staticmethod
     def reference_class(policy, strict_n4, forced, samples, n, rott_i, mean,
@@ -323,16 +334,19 @@ class TestFoldedAckPath:
            strict_n4=st.booleans(),
            cwnd=st.floats(MIN_SSTHRESH, 300.0),
            ssthresh=st.floats(MIN_SSTHRESH, 300.0),
+           alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           mean=st.floats(0.005, 2.5), dev=st.floats(0.0, 1.0),
+           samples=st.integers(0, 3),
            calls=st.lists(CALLS, max_size=40))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_calls_match_the_reference(self, policy, strict_n4, cwnd,
-                                       ssthresh, calls):
+                                       ssthresh, alpha, mean, dev, samples,
+                                       calls):
         ctrl = CongestionController(policy=policy, strict_n4=strict_n4,
-                                    cwnd=cwnd, ssthresh=ssthresh)
+                                    alpha=alpha, cwnd=cwnd, ssthresh=ssthresh,
+                                    mean=mean, dev=dev, sample_count=samples)
         trace = ControllerTrace(0)
-        a = ctrl.estimator.alpha
-        mean = dev = 0.0
-        samples = 0
+        a = alpha
         for t, call in enumerate(calls):
             before = len(trace.rows)
             if call[0] == "ack":
@@ -340,7 +354,7 @@ class TestFoldedAckPath:
                 rott_i = rtt / 2
                 assert ctrl.on_ack(rtt, window_limited) == rott_i
                 if samples == 0:
-                    mean = rott_i
+                    mean, dev = rott_i, 0.0
                 else:
                     mean = (1.0 - a) * mean + a * rott_i
                     dev = (1.0 - 2.0 * a) * dev \
@@ -362,6 +376,8 @@ class TestFoldedAckPath:
                 trace.loss(t, ctrl, cls, n, rott_i)
                 event = "loss"
             assert (ctrl.cwnd, ctrl.ssthresh) == (cwnd, ssthresh)
+            assert (ctrl.mean, ctrl.dev, ctrl.sample_count) \
+                == (mean, dev, samples)
             phase = SLOW_START if cwnd < ssthresh else CONGESTION_AVOIDANCE
             assert trace.rows[before:] == ROW.pack(
                 t, cwnd, KIND_CODES[phase, event, cls], n, rott_i, mean, dev)

@@ -167,14 +167,16 @@ def test_loss_flags_and_delivery_times_are_packed():
                for fs in result.flows) / deliveries <= 8
 
 
-def test_golden_run_makes_at_most_10_6_python_calls_per_packet():
+def test_golden_run_makes_at_most_9_6_python_calls_per_packet():
     """Python-function calls during the golden zigzag run, per delivered
     packet, counted exactly as the ``call`` events of ``sys.setprofile``.
 
     The count is the same on every run, so it guards the per-packet path
     against added Python work without timing anything: 14.47 calls per
     packet before on_ack and the trace writers stopped calling accessors,
-    10.50 after.  Work done in C (a builtin, a ``struct`` pack, a ``deque``
+    10.50 after, and 9.48 once the controller kept the ROTT mean and
+    deviation itself and the loss writer stopped reading a phase
+    property.  Work done in C (a builtin, a ``struct`` pack, a ``deque``
     operation) does not show in it, so a change that moves work into C
     can be faster at an equal count.
     """
@@ -194,4 +196,4 @@ def test_golden_run_makes_at_most_10_6_python_calls_per_packet():
         sys.setprofile(previous)
     delivered = sum(fs.delivered for fs in result.flows)
     assert delivered == GOLDEN["zigzag"]["totals"]["delivered"]
-    assert calls / delivered <= 10.6
+    assert calls / delivered <= 9.6

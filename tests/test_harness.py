@@ -464,7 +464,7 @@ class TestTopologyBuild:
         for sender in Network(sc).senders:
             ctrl = sender.ctrl
             assert (ctrl.policy, ctrl.strict_n4, ctrl.ssthresh,
-                    ctrl.estimator.alpha) == ("zigzag", True, 30.0, 0.25)
+                    ctrl.alpha) == ("zigzag", True, 30.0, 0.25)
 
     def test_invalid_scenarios_rejected_with_field_name(self):
         with pytest.raises(ScenarioError, match="flow_count"):
