@@ -87,9 +87,7 @@ def _couple(text):
     p, sep, q = text.partition(":")
     if not sep:
         raise ValueError(f"expected p:q, got {text!r}")
-    couple = LossSpec(GILBERT, p=float(p), q=float(q))
-    couple.validate()
-    return couple
+    return LossSpec(GILBERT, p=float(p), q=float(q)).validate()
 
 
 # every pair runs both policies over the loss that kinds x couples set
@@ -209,8 +207,8 @@ def validate_loss_model(p, q, packet_count, seed, report=print):
     """
     if packet_count < 10 ** 5:
         raise ValueError(f"--n must be >= 10^5, got {packet_count}")
-    model = loss_models.GilbertElliottModel(p, q)
-    # raises for q = 0 before any draw, so p + q > 0 below
+    # rejects p outside [0, 1] and q outside (0, 1], so p + q > 0 below
+    model = LossSpec(GILBERT, p=p, q=q).validate().build()
     analytic_burst = loss_models.mean_burst_length(q)
     analytic_plr = loss_models.steady_state_plr(p, q)
     rng = RngStream(seed).substream("loss")

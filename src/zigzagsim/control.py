@@ -52,8 +52,6 @@ def classify_loss(n, rott_i, mean, dev, strict_n4=False):
     With strict_n4, the last rule applies to n = 4 only and n >= 5 is
     always congestion.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n == 1:
         wireless = rott_i < mean - dev
     elif n == 2:
@@ -88,17 +86,6 @@ class CongestionController:
     mean: float = 0.0
     dev: float = 0.0
     sample_count: int = 0
-
-    def __post_init__(self):
-        if self.policy not in (BASELINE, ZIGZAG):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if not (0.0 < self.alpha < 0.5):
-            raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
-        for name in ("cwnd", "ssthresh"):
-            value = getattr(self, name)
-            if not value >= MIN_SSTHRESH:
-                raise ValueError(
-                    f"{name} must be >= {MIN_SSTHRESH}, got {value}")
 
     def on_ack(self, rtt, window_limited=True):
         """Process the acknowledgement of one new packet; returns its ROTT

@@ -20,10 +20,6 @@ class GilbertElliottModel:
     """
 
     def __init__(self, p, q):
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"p must be in [0,1], got {p}")
-        if not (0.0 <= q <= 1.0):
-            raise ValueError(f"q must be in [0,1], got {q}")
         self.p = p
         self.q = q
         self.bad = False
@@ -38,8 +34,6 @@ class UniformLossModel:
     """Memoryless model: each packet dropped independently with probability plr."""
 
     def __init__(self, plr):
-        if not (0.0 <= plr <= 1.0):
-            raise ValueError(f"plr must be in [0,1], got {plr}")
         self.plr = plr
 
     def should_drop(self, rng):

@@ -17,8 +17,6 @@ def run_mean_throughput(result):
     the window length, counted flow by flow."""
     sc = result.scenario
     warmup_s, duration_s = sc.warmup_s, sc.duration_s
-    if duration_s <= warmup_s:
-        raise ValueError("duration must exceed warm-up")
     delivered = sum(sum(1 for t in fs.delivery_times
                         if warmup_s < t <= duration_s)
                     for fs in result.flows)
@@ -26,8 +24,6 @@ def run_mean_throughput(result):
 
 
 def throughput_increase_pct(zigzag_bps, baseline_bps):
-    if baseline_bps <= 0:
-        raise ZeroDivisionError("baseline throughput must be positive")
     return 100.0 * (zigzag_bps - baseline_bps) / baseline_bps
 
 

@@ -38,6 +38,7 @@ class LossSpec:
                 raise ScenarioError(f"loss.q: must be in (0,1], got {self.q}")
         if self.kind == UNIFORM and not (0.0 <= self.plr <= 1.0):
             raise ScenarioError(f"loss.plr: must be in [0,1], got {self.plr}")
+        return self
 
     @property
     def analytic_plr(self):

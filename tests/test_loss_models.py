@@ -160,12 +160,6 @@ class TestGilbert:
         stats = trace_statistics(simulate_trace(model, rng(), 10 ** 6))
         assert stats["plr"] == pytest.approx(0.0192, abs=0.003)
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            GilbertElliottModel(p=-0.1, q=0.5)
-        with pytest.raises(ValueError):
-            GilbertElliottModel(p=0.1, q=1.5)
-
     @pytest.mark.parametrize("p,q", [(0.001, 0.6), (0.01, 0.5),
                                      (0.1, 0.6), (0.1, 0.4)])
     def test_long_run_plr_converges_to_stationary(self, p, q):
@@ -211,10 +205,6 @@ class TestUniform:
             simulate_trace(UniformLossModel(plr), rng(), 10 ** 6))
         # P(drop | drop) should match the unconditional rate
         assert stats["p_drop_given_drop"] == pytest.approx(plr, abs=0.01)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UniformLossModel(1.2)
 
 
 class TestAnalytic:

@@ -40,10 +40,6 @@ class TestMeanThroughput:
         assert metrics.run_mean_throughput(Deliveries([500.0])) \
             == pytest.approx(8000 / 400.0)
 
-    def test_requires_window(self):
-        with pytest.raises(ValueError):
-            metrics.run_mean_throughput(Deliveries([], warmup_s=500.0))
-
 
 class TestIncreasePct:
     def test_equal_is_zero(self):
