@@ -1,11 +1,8 @@
 """Command-line front end: single runs, the paired experiment matrix, and
 loss-model validation."""
 
-import argparse
-import hashlib
 import itertools
 import math
-import multiprocessing
 import os
 import sys
 
@@ -42,6 +39,7 @@ BURST_REL_TOL = 0.05
 
 
 def _run_tag(scenario):
+    import hashlib  # deferred: only artefact names and error tags use it
     plr = 100.0 * scenario.loss.analytic_plr
     # the digest tells apart scenarios that the readable part leaves equal
     digest = hashlib.sha256(repr(scenario.key()).encode()).hexdigest()[:8]
@@ -167,6 +165,7 @@ def run_matrix(templates, out_dir, jobs=1):
     payloads = [(t, out_dir) for t in templates]
     # both return the outcomes in payload order
     if jobs > 1 and len(payloads) > 1:
+        import multiprocessing  # deferred: only matrix --jobs N>1 uses it
         with multiprocessing.Pool(min(jobs, len(payloads))) as pool:
             outcomes = pool.map(_pair_worker, payloads)
     else:
@@ -253,6 +252,7 @@ def cmd_validate_loss(args):
 
 
 def build_parser():
+    import argparse  # deferred: library use never parses a command line
     parser = argparse.ArgumentParser(
         prog="zigzagsim",
         description="Wired-cum-wireless congestion control simulator")

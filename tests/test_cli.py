@@ -1,8 +1,12 @@
+import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
+import zigzagsim
 from zigzagsim import cli
 from zigzagsim.scenario import (CONVERTERS, LossSpec, Scenario,
                                 parse_scenario_text)
@@ -183,7 +187,7 @@ class TestMatrix:
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch,
                                      jobs):
-        monkeypatch.setattr(cli.multiprocessing, "Pool", None)
+        monkeypatch.setattr(multiprocessing, "Pool", None)
         spec = write(tmp_path / "matrix.cfg", TINY_MATRIX)
         assert cli.main(["matrix", "--spec", spec, "--out",
                          str(tmp_path / "out"), "--jobs", jobs]) == 1
@@ -205,7 +209,7 @@ class TestMatrix:
             def map(self, func, items):
                 return [func(item) for item in items]
 
-        monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
         templates = [Scenario(duration_s=2.0, warmup_s=1.0, seed=seed)
                      for seed in (1, 2)]
         rows, failures = cli.run_matrix(templates, None, jobs=10_000)
@@ -371,3 +375,24 @@ class TestValidateLoss:
 
     def test_usage_error_exit_code(self):
         assert cli.main(["frobnicate"]) == 1
+
+
+DEFERRED_IMPORTS = ("multiprocessing", "hashlib", "argparse")
+
+
+def test_library_use_and_validate_loss_load_no_deferred_import():
+    """Only matrix --jobs N>1, artefact names and the determinism hashes
+    load multiprocessing and hashlib, and only build_parser loads argparse.
+    Run in a fresh interpreter, as pytest has loaded all three."""
+    code = ("import sys\n"
+            "from zigzagsim import cli, harness, metrics, scenario\n"
+            "cli.validate_loss_model(0.01, 0.5, 10**5, 1,"
+            " report=lambda s: None)\n"
+            f"print(sorted(set({DEFERRED_IMPORTS!r}) & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(zigzagsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

@@ -259,7 +259,7 @@ class TestCongestionController:
             ctrl.on_loss_event(ev)
         assert ctrl.congestion_events + ctrl.wireless_events == len(events)
 
-    def test_allowed_in_flight_floor(self):
+    def test_window_is_cwnd_floored_to_whole_packets(self):
         assert packets_sent_at(4.7) == 4
         assert packets_sent_at(1.0) == 1
 

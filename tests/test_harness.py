@@ -914,3 +914,44 @@ class TestTimerAgainstEpochTimer:
         reference, ref_net = self.run(sc, rto_scale, EpochTimerSender)
         assert ours == reference
         assert len(fired(net.sim, "rto")) <= len(fired(ref_net.sim, "rto"))
+
+
+def per_packet_series(result):
+    """The reference for throughput_series: each delivery adds bucket_bps
+    to the bucket its time falls in, one packet at a time."""
+    sc = result.scenario
+    buckets = math.ceil(sc.duration_s / metrics.BUCKET_S)
+    bucket_bps = sc.packet_size_bytes * 8 / metrics.BUCKET_S
+    series = []
+    for fs in result.flows:
+        samples = [0.0] * buckets
+        for t in fs.delivery_times:
+            samples[min(int(t / metrics.BUCKET_S), buckets - 1)] += bucket_bps
+        series.append(samples)
+    return series
+
+
+def per_packet_mean_throughput(result):
+    """The reference for run_mean_throughput: each delivery in the window
+    is counted, one packet at a time."""
+    sc = result.scenario
+    delivered = sum(1 for fs in result.flows for t in fs.delivery_times
+                    if sc.warmup_s < t <= sc.duration_s)
+    return delivered * sc.packet_size_bytes * 8 / (sc.duration_s - sc.warmup_s)
+
+
+class TestDeliveryCountsByBisection:
+    """metrics counts deliveries by bisection, which holds only while each
+    flow's delivery times never decrease."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(fuzzed_scenarios().filter(lambda case: case[1] is None),
+           st.sampled_from([BASELINE, ZIGZAG]))
+    def test_sorted_and_equal_to_per_packet_loops(self, case, policy):
+        result = run_scenario(case[0].with_policy(policy))
+        for fs in result.flows:
+            times = list(fs.delivery_times)
+            assert times == sorted(times)
+        assert metrics.throughput_series(result) == per_packet_series(result)
+        assert metrics.run_mean_throughput(result) \
+            == per_packet_mean_throughput(result)

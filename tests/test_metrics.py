@@ -129,6 +129,14 @@ class TestSeries:
         bucket_quantum = sc.packet_size_bytes * 8
         assert abs(window_bits / 100.0 - scalar) <= bucket_quantum
 
+    def test_bucket_edges(self):
+        # a time on an edge opens its bucket; the last bucket, [3, 3.5],
+        # is short, and an empty one reads 0.0
+        times = [0.0, 0.999, 1.0, 3.0, 3.5]
+        result = Deliveries(times, warmup_s=0.0, duration_s=3.5)
+        assert metrics.throughput_series(result) \
+            == [[16000.0, 8000.0, 0.0, 16000.0]]
+
 
 class Traces:
     """A stand-in run result holding only controller traces."""
