@@ -172,19 +172,16 @@ class TraceRecord:
 
 
 # (phase, event_type, loss_class) of every row a controller can trace; a
-# row stores its kind's index in one byte
+# row stores its kind's index in one byte, 2 * event + phase, where event
+# is 0 for an ack, 1 for a wireless loss and 2 for a congestion loss, and
+# phase is 1 when cwnd >= ssthresh (congestion avoidance)
 ROW_KINDS = tuple((phase, event, cls)
                   for event, cls in (("ack", ""), ("loss", WIRELESS),
                                      ("loss", CONGESTION))
                   for phase in (SLOW_START, CONGESTION_AVOIDANCE))
-KIND_CODES = {kind: code for code, kind in enumerate(ROW_KINDS)}
-# a row's phase, indexed by the slow-start test cwnd < ssthresh
-PHASES = (CONGESTION_AVOIDANCE, SLOW_START)
-# the kinds of row that may shrink cwnd under either policy
-HALVING_CODES = frozenset(KIND_CODES[phase, "loss", CONGESTION]
-                          for phase in PHASES)
-# the kind code of an ack row, indexed as PHASES
-ACK_CODES = tuple(KIND_CODES[phase, "ack", ""] for phase in PHASES)
+# the first congestion-loss kind: the kinds from it on are the rows that
+# may shrink cwnd under either policy
+FIRST_CONGESTION_KIND = 4
 
 
 # One packed trace row: t, cwnd, kind code, n, and the ROTT sample, mean
@@ -208,13 +205,13 @@ class ControllerTrace:
     def ack(self, t, ctrl, rott_i):
         """Append the row of the ACK that ``ctrl`` has just processed."""
         cwnd = ctrl.cwnd
-        self.rows += ROW.pack(t, cwnd, ACK_CODES[cwnd < ctrl.ssthresh], 0,
-                              rott_i, ctrl.mean, ctrl.dev)
+        self.rows += ROW.pack(t, cwnd, cwnd >= ctrl.ssthresh, 0, rott_i,
+                              ctrl.mean, ctrl.dev)
 
     def loss(self, t, ctrl, loss_class, n, rott_i):
         """Append the row of the loss event ``ctrl`` has just classified."""
         cwnd = ctrl.cwnd
-        kind = KIND_CODES[PHASES[cwnd < ctrl.ssthresh], "loss", loss_class]
+        kind = (4 if loss_class == CONGESTION else 2) + (cwnd >= ctrl.ssthresh)
         self.rows += ROW.pack(t, cwnd, kind, n, rott_i, ctrl.mean, ctrl.dev)
 
     def __len__(self):

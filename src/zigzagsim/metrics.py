@@ -4,7 +4,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 
-from .control import BASELINE, HALVING_CODES, ZIGZAG, TraceRecord
+from .control import BASELINE, FIRST_CONGESTION_KIND, ZIGZAG, TraceRecord
 from .harness import WIRELESS_BANDWIDTH_BPS
 
 
@@ -123,7 +123,7 @@ def count_halve_violations(result):
         # each row against the row before it; the first has none
         prev = -math.inf
         for _t, cwnd, kind, _n, _rott_i, _mean, _dev in trace.unpack():
-            if cwnd < prev - 1e-12 and kind not in HALVING_CODES:
+            if cwnd < prev - 1e-12 and kind < FIRST_CONGESTION_KIND:
                 violations += 1
             prev = cwnd
     return violations

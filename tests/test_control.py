@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zigzagsim.control import (BASELINE, CONGESTION, CONGESTION_AVOIDANCE,
-                               INITIAL_CWND, KIND_CODES, MIN_SSTHRESH, ROW,
-                               SLOW_START, WIRELESS, ZIGZAG,
+                               FIRST_CONGESTION_KIND, INITIAL_CWND,
+                               MIN_SSTHRESH, ROW, ROW_KINDS, SLOW_START,
+                               WIRELESS, ZIGZAG,
                                CongestionController, ControllerTrace,
                                LossEvent, TraceRecord, classify_loss)
 from zigzagsim.harness import ForwardPath, Sender
@@ -276,6 +277,22 @@ class TestCongestionController:
             LossEvent(n=0, rott_at_detection=0.3)
 
 
+class TestRowKinds:
+    def test_kind_is_twice_the_event_plus_the_phase(self):
+        # the index rule the trace writers pack by: event 0 ack, 1
+        # wireless loss, 2 congestion loss; phase 1 when cwnd >= ssthresh
+        events = (("ack", ""), ("loss", WIRELESS), ("loss", CONGESTION))
+        phases = (SLOW_START, CONGESTION_AVOIDANCE)
+        for e, (event, cls) in enumerate(events):
+            for p, phase in enumerate(phases):
+                assert ROW_KINDS[2 * e + p] == (phase, event, cls)
+        assert len(ROW_KINDS) == 6
+        # the halving check counts a shrinking row as a violation below
+        # this kind: exactly the congestion kinds are at or above it
+        assert [k >= FIRST_CONGESTION_KIND for k in range(len(ROW_KINDS))] \
+            == [cls == CONGESTION for _phase, _event, cls in ROW_KINDS]
+
+
 class TestTraceRecord:
     def test_row_has_no_instance_dict(self):
         # iterating a trace builds one view per row; slots keep it small
@@ -299,7 +316,7 @@ class TestFoldedAckPath:
     the ROTT sample is RTT/2, the mean and deviation follow the EWMA from
     any starting alpha, mean, dev and sample count, the window grows by one
     below ssthresh and by 1/cwnd otherwise, and a row packs (phase, event,
-    class) through KIND_CODES."""
+    class) as its index in ROW_KINDS."""
 
     @staticmethod
     def reference_class(policy, strict_n4, forced, samples, n, rott_i, mean,
@@ -359,4 +376,5 @@ class TestFoldedAckPath:
                 == (mean, dev, samples)
             phase = SLOW_START if cwnd < ssthresh else CONGESTION_AVOIDANCE
             assert trace.rows[before:] == ROW.pack(
-                t, cwnd, KIND_CODES[phase, event, cls], n, rott_i, mean, dev)
+                t, cwnd, ROW_KINDS.index((phase, event, cls)), n, rott_i,
+                mean, dev)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zigzagsim import metrics
-from zigzagsim.control import KIND_CODES, ROW, ControllerTrace, TraceRecord
+from zigzagsim.control import ROW, ROW_KINDS, ControllerTrace, TraceRecord
 from zigzagsim.harness import FlowStats, run_scenario
 from zigzagsim.scenario import LossSpec, Scenario
 
@@ -150,8 +150,8 @@ def trace_of(flow_id, rows):
     loss_class, n, rott_i, mean, dev), each packed as one ROW."""
     trace = ControllerTrace(flow_id)
     for t, cwnd, phase, event, cls, n, rott_i, mean, dev in rows:
-        trace.rows += ROW.pack(t, cwnd, KIND_CODES[phase, event, cls], n,
-                               rott_i, mean, dev)
+        trace.rows += ROW.pack(t, cwnd, ROW_KINDS.index((phase, event, cls)),
+                               n, rott_i, mean, dev)
     return trace
 
 
@@ -341,10 +341,10 @@ class TestCsvBytes:
 # cwnd values at and around the halving check's 1e-12 tolerance
 NEAR_FLOATS = [2.0, 5.0, 5.0 - 1e-12, 5.0 - 2e-12, 10.0]
 # every (phase, event_type, loss_class) a controller traces
-ROW_KINDS = [(phase, event, cls)
-             for phase in ("slow_start", "congestion_avoidance")
-             for event, cls in (("ack", ""), ("loss", "wireless"),
-                                ("loss", "congestion"))]
+TRACED_KINDS = [(phase, event, cls)
+                for phase in ("slow_start", "congestion_avoidance")
+                for event, cls in (("ack", ""), ("loss", "wireless"),
+                                   ("loss", "congestion"))]
 
 
 def row_floats(extra=()):
@@ -352,7 +352,7 @@ def row_floats(extra=()):
 
 
 trace_rows = st.lists(st.tuples(
-    row_floats(), row_floats(NEAR_FLOATS), st.sampled_from(ROW_KINDS),
+    row_floats(), row_floats(NEAR_FLOATS), st.sampled_from(TRACED_KINDS),
     st.integers(0, 2 ** 63 - 1), row_floats(), row_floats(), row_floats()),
     max_size=40)
 

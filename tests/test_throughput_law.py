@@ -26,6 +26,21 @@ ones that cut the window to a quarter or to 0.7 of itself (at each p,
 some run reads C below 1.0 with the first and above 1.6 with the
 second).  No run drops a packet at the queue.  The 30 runs take about
 1 s of CPU.
+
+The bursty point: the same flow under Gilbert loss p = 0.001, q = 0.1
+(mean burst 10 packets, PLR 0.99 %), seeds 1-10.  A burst of losses is
+one loss event, so the law holds with p the loss-event rate: p_e is the
+path's bursts per packet, counted by loss.trace_statistics on the drop
+flags the path drew, not by the controller under test.  Over the 10 runs
+C spans 1.203-1.331, with a mean of 1.258.  The bounds, C in [1.1, 1.6]
+per run and the seed mean in [1.15, 1.40], leave about 0.1 below the
+lowest run and below the mean, 0.27 above the highest run and 0.14 above
+the mean.  Four wrong controllers fail, each in every run or in its seed
+mean: one that takes each lost packet as a loss event of its own (C
+0.794-0.991), one that cuts the window to 0.7 of itself (1.595-1.757),
+one that grows by 1.5/cwnd per ACK (1.450-1.642), and one that never
+cuts it (2.63-2.96).  No run drops a packet at the queue.  The 10 runs
+take about 0.8 s of CPU.
 """
 
 import math
@@ -36,18 +51,23 @@ from zigzagsim import metrics
 from zigzagsim.harness import (WIRED_BANDWIDTH_BPS, WIRED_DELAY_S,
                                WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
                                run_scenario)
-from zigzagsim.scenario import UNIFORM, LossSpec, Scenario
+from zigzagsim.loss import trace_statistics
+from zigzagsim.scenario import GILBERT, UNIFORM, LossSpec, Scenario
 
 LOSS_RATES = (0.0025, 0.01, 0.04)
 SEEDS = range(1, 11)
 C_BOUNDS = (1.0, 1.6)
 SLOPE_BOUNDS = (-0.65, -0.4)
+BURSTY = LossSpec(GILBERT, p=0.001, q=0.1)
+BURSTY_C_BOUNDS = (1.1, 1.6)
+BURSTY_MEAN_C_BOUNDS = (1.15, 1.40)
 
 
-def _scenario(plr, seed):
+def _scenario(plr, seed, spec=None):
     return Scenario(flow_count=1, aggregate_rate_bps=1.2e6,
-                    loss=LossSpec(UNIFORM, plr=plr), policy="baseline",
-                    duration_s=600.0, warmup_s=100.0, seed=seed)
+                    loss=spec or LossSpec(UNIFORM, plr=plr),
+                    policy="baseline", duration_s=600.0, warmup_s=100.0,
+                    seed=seed)
 
 
 def _base_rtt(sc):
@@ -93,3 +113,27 @@ def test_throughput_falls_as_inverse_square_root_of_loss(runs):
 
 def test_no_queue_drops(runs):
     assert all(drops == 0 for _, drops in runs.values())
+
+
+@pytest.fixture(scope="module")
+def bursty_runs():
+    """(C from the loss-event rate, queue drops) per seed, Gilbert loss."""
+    out = {}
+    for seed in SEEDS:
+        sc = _scenario(None, seed, BURSTY)
+        result = run_scenario(sc)
+        stats = trace_statistics(result.loss_trace[:])
+        event_rate = stats["bursts"] / stats["packets"]
+        c = metrics.run_mean_throughput(result) * _base_rtt(sc) \
+            * math.sqrt(event_rate) / (sc.packet_size_bytes * 8)
+        out[seed] = (c, len(result.queue_drop_log))
+    return out
+
+
+def test_mathis_constant_from_the_loss_event_rate(bursty_runs):
+    cs = [c for c, _ in bursty_runs.values()]
+    for seed, c in zip(SEEDS, cs):
+        assert BURSTY_C_BOUNDS[0] <= c <= BURSTY_C_BOUNDS[1], (seed, c)
+    mean = sum(cs) / len(cs)
+    assert BURSTY_MEAN_C_BOUNDS[0] <= mean <= BURSTY_MEAN_C_BOUNDS[1], mean
+    assert all(drops == 0 for _, drops in bursty_runs.values())
