@@ -9,7 +9,7 @@ exponential mean and deviation.
 """
 
 import struct
-from dataclasses import astuple, dataclass
+from collections import namedtuple
 
 BASELINE = "baseline"
 ZIGZAG = "zigzag"
@@ -28,16 +28,15 @@ INITIAL_SSTHRESH = 50.0
 MIN_SSTHRESH = 2.0
 
 
-@dataclass
-class LossEvent:
+class LossEvent(namedtuple("LossEvent", "n rott_at_detection")):
     """A maximal run of n consecutive missing sequence numbers."""
 
-    n: int
-    rott_at_detection: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, rott_at_detection):
+        if n < 1:
             raise ValueError("loss event needs n >= 1")
+        return tuple.__new__(cls, (n, rott_at_detection))
 
 
 def classify_loss(n, rott_i, mean, dev, strict_n4=False):
@@ -65,7 +64,6 @@ def classify_loss(n, rott_i, mean, dev, strict_n4=False):
     return WIRELESS if wireless else CONGESTION
 
 
-@dataclass
 class CongestionController:
     """Slow-start / congestion-avoidance window controller.
 
@@ -73,19 +71,26 @@ class CongestionController:
     identical between the two variants, so zero-loss runs are bitwise
     equivalent.  ``mean`` and ``dev`` are the exponential average and
     mean deviation, with gain ``alpha``, of the ``sample_count`` ROTT
-    samples taken so far.
+    samples taken so far.  Two controllers are equal when all their
+    fields are.
     """
 
-    policy: str = BASELINE
-    strict_n4: bool = False
-    alpha: float = DEFAULT_ALPHA
-    cwnd: float = INITIAL_CWND
-    ssthresh: float = INITIAL_SSTHRESH
-    congestion_events: int = 0
-    wireless_events: int = 0
-    mean: float = 0.0
-    dev: float = 0.0
-    sample_count: int = 0
+    def __init__(self, policy=BASELINE, strict_n4=False, alpha=DEFAULT_ALPHA,
+                 cwnd=INITIAL_CWND, ssthresh=INITIAL_SSTHRESH, mean=0.0,
+                 dev=0.0, sample_count=0):
+        self.policy = policy
+        self.strict_n4 = strict_n4
+        self.alpha = alpha
+        self.cwnd = cwnd
+        self.ssthresh = ssthresh
+        self.congestion_events = 0
+        self.wireless_events = 0
+        self.mean = mean
+        self.dev = dev
+        self.sample_count = sample_count
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def on_ack(self, rtt, window_limited=True):
         """Process the acknowledgement of one new packet; returns its ROTT
@@ -147,28 +152,20 @@ FIELD_FORMATS = ("%.9f", "%d", "%.6f", "%s", "%s", "%s", "%d", "%.9f",
 ROW_FORMAT = ",".join(FIELD_FORMATS)
 
 
-@dataclass(slots=True)
-class TraceRecord:
+class TraceRecord(namedtuple("TraceRecord", "t flow_id cwnd phase event_type "
+                             "loss_class n rott_i rott_mean rott_dev")):
     """One controller trace row; reproduces window-versus-time plots.
 
+    ``event_type`` is "ack" or "loss", and ``loss_class`` is "" for acks.
     Rows are stored packed in a ControllerTrace; a TraceRecord is a view
     of one row, built when the trace is iterated.
     """
 
-    t: float
-    flow_id: int
-    cwnd: float
-    phase: str
-    event_type: str  # "ack" or "loss"
-    loss_class: str  # "" for acks
-    n: int
-    rott_i: float
-    rott_mean: float
-    rott_dev: float
+    __slots__ = ()
 
     def as_row(self):
         """The row as one CSV line, without its terminator."""
-        return ROW_FORMAT % astuple(self)
+        return ROW_FORMAT % self
 
 
 # (phase, event_type, loss_class) of every row a controller can trace; a

@@ -12,8 +12,6 @@ feedback time are both known when it is sent.
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from functools import partial
 from math import inf
 
 from . import loss
@@ -22,7 +20,6 @@ from . import loss
 from .control import (CongestionController, ControllerTrace, LossEvent,
                       TraceRecord)
 from .kernel import RngStream, Simulator
-from .scenario import Scenario
 
 WIRED_BANDWIDTH_BPS = 2.0e6
 WIRED_DELAY_S = 0.100
@@ -136,14 +133,19 @@ class ForwardPath:
         return delivery if delivery <= self.horizon_s else IN_FLIGHT
 
 
-@dataclass
 class FlowStats:
-    sent: int = 0
-    queue_drops: int = 0
-    wireless_drops: int = 0
-    timeouts: int = 0
-    generated: int = 0
-    delivery_times: array = field(default_factory=partial(array, "d"))
+    """One flow's packet counts and delivery times; equal when all are."""
+
+    def __init__(self, delivery_times=()):
+        self.sent = 0
+        self.queue_drops = 0
+        self.wireless_drops = 0
+        self.timeouts = 0
+        self.generated = 0
+        self.delivery_times = array("d", delivery_times)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     @property
     def delivered(self):
@@ -170,7 +172,7 @@ class Sender:
                  start_time):
         self.sim = sim
         self.flow_id = flow_id
-        self.scenario = scenario
+        self.packet_size_bytes = scenario.packet_size_bytes
         self.path = path
         self.receiver_delay_s = receiver_delay_s
         self.ctrl = CongestionController(
@@ -222,7 +224,7 @@ class Sender:
         # is generated - sent, and the next seq is the count sent so far
         now = self.sim.now
         send = self.path.send
-        size_bytes = self.scenario.packet_size_bytes
+        size_bytes = self.packet_size_bytes
         # whole packets; cwnd never falls below MIN_SSTHRESH
         window = int(self.ctrl.cwnd)
         was_idle = not out
@@ -354,15 +356,16 @@ class Sender:
         self.try_send()
 
 
-@dataclass
 class RunResult:
-    scenario: Scenario
-    flows: list            # FlowStats per flow
-    controllers: list      # CongestionController per flow
-    traces: list           # ControllerTrace per flow
-    loss_trace: LossTrace  # one drop flag per draw on the wireless link
-    queue_drop_log: list   # (time, flow_id, seq)
-    events_dispatched: int = 0
+    def __init__(self, scenario, flows, controllers, traces, loss_trace,
+                 queue_drop_log, events_dispatched):
+        self.scenario = scenario
+        self.flows = flows                  # FlowStats per flow
+        self.controllers = controllers      # CongestionController per flow
+        self.traces = traces                # ControllerTrace per flow
+        self.loss_trace = loss_trace        # one drop flag per wireless draw
+        self.queue_drop_log = queue_drop_log  # (time, flow_id, seq)
+        self.events_dispatched = events_dispatched
 
     @property
     def congestion_events(self):

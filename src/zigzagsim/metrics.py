@@ -2,7 +2,7 @@
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .control import BASELINE, FIRST_CONGESTION_KIND, ZIGZAG, TraceRecord
 from .harness import WIRELESS_BANDWIDTH_BPS
@@ -88,27 +88,18 @@ def wireless_loss_prefix_equal(a, b):
     return a.loss_trace[:n] == b.loss_trace[:n]
 
 
-@dataclass
-class ExperimentResult:
+class ExperimentResult(namedtuple("ExperimentResult", (
+        "flow_count loss_kind plr_pct aggregate_rate_bps seed "
+        "congestion_baseline congestion_zigzag wireless_zigzag "
+        "mean_throughput_baseline_bps mean_throughput_zigzag_bps "
+        "throughput_increase_pct bw_utilization_baseline_pct "
+        "bw_utilization_zigzag_pct halve_violations"))):
     """One summary row in the paired comparison table."""
 
-    flow_count: int
-    loss_kind: str
-    plr_pct: float
-    aggregate_rate_bps: float
-    seed: int
-    congestion_baseline: int
-    congestion_zigzag: int
-    wireless_zigzag: int
-    mean_throughput_baseline_bps: float
-    mean_throughput_zigzag_bps: float
-    throughput_increase_pct: float
-    bw_utilization_baseline_pct: float
-    bw_utilization_zigzag_pct: float
-    halve_violations: int = 0
+    __slots__ = ()
 
     def as_row(self):
-        return [getattr(self, f.name) for f in fields(self)]
+        return list(self)
 
 
 def count_halve_violations(result):
@@ -190,12 +181,12 @@ def write_series_csv(path, series):
 
 
 def write_controller_trace_csv(path, result):
-    _write_csv(path, [f.name for f in fields(TraceRecord)], (
+    _write_csv(path, TraceRecord._fields, (
         trace.text("\r\n") for trace in result.traces))
 
 
 def write_summary_csv(path, rows):
-    _write_csv(path, [f.name for f in fields(ExperimentResult)],
+    _write_csv(path, ExperimentResult._fields,
                [_line(row.as_row()) for row in rows])
 
 

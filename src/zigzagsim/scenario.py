@@ -1,7 +1,7 @@
 """Scenario description and its flat key-value file format."""
 
-import math
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
+from sys import float_info
 
 from . import loss as loss_models
 from .control import (BASELINE, DEFAULT_ALPHA, INITIAL_SSTHRESH,
@@ -16,14 +16,27 @@ class ScenarioError(ValueError):
     """Invalid scenario; the message names the offending field."""
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    kind: str = NONE
-    p: float = 0.0
-    q: float = 0.0
-    plr: float = 0.0
+def _check_types(record, prefix=""):
+    """Reject a value not of its field default's type, naming the field; a
+    float field also takes an int, and only a bool field takes a bool."""
+    for name, default in record._field_defaults.items():
+        value = getattr(record, name)
+        kind = type(default)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, (int, float) if kind is float else kind):
+            raise ScenarioError(f"{prefix}{name}: must be of type "
+                                f"{kind.__name__}, got {value!r}")
+        # unlike math.isfinite, also false for an int too large for a float
+        if kind is float and not abs(value) <= float_info.max:
+            raise ScenarioError(f"{prefix}{name}: must be finite, got {value}")
+
+
+class LossSpec(namedtuple("LossSpec", "kind p q plr",
+                          defaults=(NONE, 0.0, 0.0, 0.0))):
+    __slots__ = ()
 
     def validate(self):
+        _check_types(self, "loss.")
         if self.kind not in (GILBERT, UNIFORM, NONE):
             raise ScenarioError(f"loss.kind: unknown kind {self.kind!r}")
         # a field that the kind never reads must be left at 0
@@ -57,27 +70,31 @@ class LossSpec:
         return None
 
 
-@dataclass(frozen=True)
-class Scenario:
-    flow_count: int = 1
-    aggregate_rate_bps: float = 1.0e6
-    loss: LossSpec = field(default_factory=LossSpec)
-    policy: str = BASELINE
-    duration_s: float = 500.0
-    seed: int = 1
-    queue_capacity_pkts: int = 50
-    packet_size_bytes: int = 1000
-    feedback_size_bytes: int = 40
-    alpha: float = DEFAULT_ALPHA
-    warmup_s: float = 100.0
-    strict_n4: bool = False
-    initial_ssthresh_pkts: float = INITIAL_SSTHRESH
+# every Scenario field, in order, with its default; a value must be of the
+# default's type (see _check_types), and the flat format converts by it
+SCENARIO_DEFAULTS = {
+    "flow_count": 1,
+    "aggregate_rate_bps": 1.0e6,
+    "loss": LossSpec(),
+    "policy": BASELINE,
+    "duration_s": 500.0,
+    "seed": 1,
+    "queue_capacity_pkts": 50,
+    "packet_size_bytes": 1000,
+    "feedback_size_bytes": 40,
+    "alpha": DEFAULT_ALPHA,
+    "warmup_s": 100.0,
+    "strict_n4": False,
+    "initial_ssthresh_pkts": INITIAL_SSTHRESH,
+}
+
+
+class Scenario(namedtuple("Scenario", SCENARIO_DEFAULTS,
+                          defaults=SCENARIO_DEFAULTS.values())):
+    __slots__ = ()
 
     def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
-                raise ScenarioError(f"{f.name}: must be finite, got {value}")
+        _check_types(self)
         if self.flow_count < 1:
             raise ScenarioError(f"flow_count: must be >= 1, got {self.flow_count}")
         if self.aggregate_rate_bps <= 0:
@@ -108,12 +125,12 @@ class Scenario:
         return self.aggregate_rate_bps / self.flow_count
 
     def with_policy(self, policy):
-        return replace(self, policy=policy)
+        return self._replace(policy=policy)
 
     def key(self):
         """Scenario identity minus policy; paired runs must agree on this."""
-        return tuple(getattr(self, f.name) for f in fields(self)
-                     if f.name != "policy")
+        return tuple(value for name, value in zip(self._fields, self)
+                     if name != "policy")
 
 
 def _strict_bool(text):
@@ -125,13 +142,14 @@ def _strict_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# one converter per key of the flat format, by field type;
+# one converter per key of the flat format, by the type of its default;
 # Scenario.validate checks ranges
 _FROM_TYPE = {int: int, float: float, str: str, bool: _strict_bool}
 CONVERTERS = {
-    **{f.name: _FROM_TYPE[f.type] for f in fields(Scenario)
-       if f.name != "loss"},
-    **{f"loss.{f.name}": _FROM_TYPE[f.type] for f in fields(LossSpec)},
+    **{name: _FROM_TYPE[type(default)]
+       for name, default in SCENARIO_DEFAULTS.items() if name != "loss"},
+    **{f"loss.{name}": _FROM_TYPE[type(default)]
+       for name, default in LossSpec._field_defaults.items()},
 }
 
 

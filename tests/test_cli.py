@@ -2,7 +2,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 
@@ -141,8 +140,8 @@ READER_LINES = {"loss.p": "loss.kind = gilbert\nloss.q = 0.4\n",
 
 class TestScenarioKeys:
     def test_keys_are_the_fields(self):
-        expected = {f.name for f in fields(Scenario) if f.name != "loss"} \
-            | {f"loss.{f.name}" for f in fields(LossSpec)}
+        expected = {name for name in Scenario._fields if name != "loss"} \
+            | {f"loss.{name}" for name in LossSpec._fields}
         assert set(CONVERTERS) == expected == set(NON_DEFAULT)
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
@@ -158,6 +157,37 @@ class TestScenarioKeys:
         text = READER_LINES.get(key, "") + f"{key} = {value}\n"
         parsed = read(parse_scenario_text(text))
         assert parsed == value and type(parsed) is type(value)
+
+
+class TestScenarioRecords:
+    """Scenario and LossSpec are values: immutable, equal and hashed by
+    their fields, and changed only by making a new one."""
+
+    @pytest.mark.parametrize("record,name", [
+        (Scenario, "seed"), (Scenario, "loss"), (Scenario, "extra"),
+        (LossSpec, "kind"), (LossSpec, "p"), (LossSpec, "extra")])
+    def test_assignment_raises(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record(), name, 1)
+
+    def test_equal_fields_are_equal_and_hash_equal(self):
+        a, b = (Scenario(flow_count=5, seed=2,
+                         loss=LossSpec("gilbert", p=0.01, q=0.5))
+                for _ in range(2))
+        assert a is not b and a.loss is not b.loss
+        assert a == b and hash(a) == hash(b)
+        assert a.loss == b.loss and hash(a.loss) == hash(b.loss)
+        assert a != a._replace(seed=3)
+        assert a.loss != a.loss._replace(q=0.6)
+
+    def test_with_policy_returns_a_new_scenario(self):
+        sc = Scenario(seed=3)
+        zz = sc.with_policy("zigzag")
+        assert type(zz) is Scenario and zz is not sc
+        assert (sc.policy, zz.policy) == ("baseline", "zigzag")
+        assert sc == Scenario(seed=3)
+        assert zz == Scenario(seed=3, policy="zigzag")
+        assert zz.key() == sc.key()
 
 
 class TestMatrix:
@@ -380,19 +410,37 @@ class TestValidateLoss:
 DEFERRED_IMPORTS = ("multiprocessing", "hashlib", "argparse")
 
 
-def test_library_use_and_validate_loss_load_no_deferred_import():
-    """Only matrix --jobs N>1, artefact names and the determinism hashes
-    load multiprocessing and hashlib, and only build_parser loads argparse.
-    Run in a fresh interpreter, as pytest has loaded all three."""
-    code = ("import sys\n"
-            "from zigzagsim import cli, harness, metrics, scenario\n"
-            "cli.validate_loss_model(0.01, 0.5, 10**5, 1,"
-            " report=lambda s: None)\n"
-            f"print(sorted(set({DEFERRED_IMPORTS!r}) & set(sys.modules)))\n")
+def fresh_interpreter_output(code):
+    """What ``code`` prints in a fresh interpreter that imports this
+    zigzagsim; pytest itself has loaded the modules the callers look for."""
     src = os.path.dirname(os.path.dirname(zigzagsim.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    return out.stdout
+
+
+def test_library_use_and_validate_loss_load_no_deferred_import():
+    """Only matrix --jobs N>1, artefact names and the determinism hashes
+    load multiprocessing and hashlib, and only build_parser loads argparse."""
+    code = ("import sys\n"
+            "from zigzagsim import cli, harness, metrics, scenario\n"
+            "cli.validate_loss_model(0.01, 0.5, 10**5, 1,"
+            " report=lambda s: None)\n"
+            f"print(sorted(set({DEFERRED_IMPORTS!r}) & set(sys.modules)))\n")
+    assert fresh_interpreter_output(code) == "[]\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """The records are namedtuples and plain classes, so importing the
+    package loads neither module, which would nearly double its start-up.
+    What the interpreter loaded before the import, site's hooks included,
+    is left out."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import zigzagsim.cli\n"
+            "print(sorted({'dataclasses', 'inspect'}"
+            " & (set(sys.modules) - before)))\n")
+    assert fresh_interpreter_output(code) == "[]\n"

@@ -4,7 +4,6 @@ import random
 import re
 import weakref
 from collections import deque
-from dataclasses import replace
 from functools import partial
 from itertools import islice
 from unittest import mock
@@ -606,20 +605,25 @@ class TestTeardown:
                 gc.enable()
 
 
-# one value per field that Scenario.validate must reject, naming the field
+# values that Scenario.validate must reject, naming the field: out of
+# range, or not of the type of the field's default (an int field takes no
+# float or bool, a float field no str or bool, strict_n4 only a bool)
 INVALID = {
-    "flow_count": (0, -1),
-    "aggregate_rate_bps": (0.0, -1.0e6, math.nan, math.inf),
-    "policy": ("cubic",),
+    "flow_count": (0, -1, 2.5, True),
+    "aggregate_rate_bps": (0.0, -1.0e6, math.nan, math.inf, "1e6", True),
+    "loss": ("gilbert", ("gilbert", 0.01, 0.5, 0.0)),
+    "policy": ("cubic", None),
     "duration_s": (math.nan, math.inf, 0.0),
+    "seed": (1.5, True),
     "warmup_s": (-1.0, math.nan),
-    "queue_capacity_pkts": (0,),
+    "queue_capacity_pkts": (0, 1.5),
     "packet_size_bytes": (0, -1000),
     "feedback_size_bytes": (0, -40),
     "alpha": (0.0, 0.5, math.nan),
+    "strict_n4": ("no", 1),
     "initial_ssthresh_pkts": (1.0, math.nan),
-    "loss.kind": ("bursty",),
-    "loss.p": (-0.1, 1.5, math.nan),
+    "loss.kind": ("bursty", None),
+    "loss.p": (-0.1, 1.5, math.nan, "0.1"),
     "loss.q": (0.0, 1.5),
     "loss.plr": (-0.1, 1.1, math.nan),
 }
@@ -641,12 +645,19 @@ READER_LOSS = {"loss.p": LossSpec("gilbert", q=0.5),
 def test_each_invalid_value_rejected_naming_its_field(field, value):
     if field.startswith("loss."):
         spec = READER_LOSS.get(field, LossSpec())
-        sc = Scenario(loss=replace(spec, **{field.removeprefix("loss."):
+        sc = Scenario(loss=spec._replace(**{field.removeprefix("loss."):
                                             value}))
     else:
         sc = Scenario(**{field: value})
     with pytest.raises(ScenarioError, match=f"^{re.escape(field)}:"):
         run_scenario(sc)
+
+
+def test_int_beyond_the_float_range_rejected():
+    # math.isfinite would raise OverflowError on it
+    with pytest.raises(ScenarioError,
+                       match="^aggregate_rate_bps: must be finite"):
+        run_scenario(Scenario(aggregate_rate_bps=2 ** 1024))
 
 
 @st.composite
@@ -685,7 +696,8 @@ def fuzzed_scenarios(draw):
             loss[broken.removeprefix("loss.")] = value
         else:
             fields[broken] = value
-    return Scenario(loss=LossSpec(**loss), **fields), broken
+    # a broken "loss" replaces the drawn one
+    return Scenario(**{"loss": LossSpec(**loss), **fields}), broken
 
 
 def check_loss_events_per_feedback(sender):
@@ -909,7 +921,7 @@ class TestTimerAgainstEpochTimer:
     def test_same_run_and_timeouts(self, case, policy, capacity, rto_scale):
         # an _rto() scaled below 1 pushes feedback past more deadlines;
         # below about 0.6 it could fall under _on_timeout's 2 * mean grace
-        sc = replace(case[0], policy=policy, queue_capacity_pkts=capacity)
+        sc = case[0]._replace(policy=policy, queue_capacity_pkts=capacity)
         ours, net = self.run(sc, rto_scale, Sender)
         reference, ref_net = self.run(sc, rto_scale, EpochTimerSender)
         assert ours == reference
