@@ -71,8 +71,7 @@ class CongestionController:
     identical between the two variants, so zero-loss runs are bitwise
     equivalent.  ``mean`` and ``dev`` are the exponential average and
     mean deviation, with gain ``alpha``, of the ``sample_count`` ROTT
-    samples taken so far.  Two controllers are equal when all their
-    fields are.
+    samples taken so far.
     """
 
     def __init__(self, policy=BASELINE, strict_n4=False, alpha=DEFAULT_ALPHA,
@@ -88,9 +87,6 @@ class CongestionController:
         self.mean = mean
         self.dev = dev
         self.sample_count = sample_count
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
 
     def on_ack(self, rtt, window_limited=True):
         """Process the acknowledgement of one new packet; returns its ROTT
@@ -143,13 +139,12 @@ class CongestionController:
         return cls
 
 
-# The text of a trace row: one %-conversion per TraceRecord field, in
-# field order.  TraceRecord.as_row and ControllerTrace.text both format
-# with it.  The string fields are fixed words (the constants above, "ack"
-# and "loss"), so none is quoted.
-FIELD_FORMATS = ("%.9f", "%d", "%.6f", "%s", "%s", "%s", "%d", "%.9f",
-                 "%.9f", "%.9f")
-ROW_FORMAT = ",".join(FIELD_FORMATS)
+# The text of a trace row: a %-conversion per TraceRecord field, but named
+# slots for the flow id and the kind's three words.  TraceRecord.as_row and
+# ControllerTrace.text both fill it; the words are fixed (the constants
+# above, "ack" and "loss"), so none is quoted.
+ROW_TEMPLATE = "%.9f,{flow},%.6f,{phase},{event},{cls},%d,%.9f,%.9f,%.9f"
+ROW_FORMAT = ROW_TEMPLATE.format(flow="%d", phase="%s", event="%s", cls="%s")
 
 
 class TraceRecord(namedtuple("TraceRecord", "t flow_id cwnd phase event_type "
@@ -228,12 +223,10 @@ class ControllerTrace:
 
     def text(self, end):
         """Every row's as_row text followed by ``end``, as one string."""
-        f = FIELD_FORMATS
-        # ROW_FORMAT + end per kind, with the flow id and the kind's words
-        # written in; the six other fields fill the rest
-        formats = [",".join((f[0], f[1] % self.flow_id, f[2], *kind, f[6],
-                             f[7], f[8], f[9])) + end
-                   for kind in ROW_KINDS]
+        # per kind, the template with the flow id and words written in
+        formats = [ROW_TEMPLATE.format(flow=self.flow_id, phase=phase,
+                                       event=event, cls=cls) + end
+                   for phase, event, cls in ROW_KINDS]
         return "".join([formats[kind] % (t, cwnd, n, rott_i, mean, dev)
                         for t, cwnd, kind, n, rott_i, mean, dev
                         in self.unpack()])

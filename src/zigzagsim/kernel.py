@@ -5,10 +5,6 @@ import random
 from collections import deque
 
 
-class PastTimeError(ValueError):
-    """Raised when an event is scheduled before the current virtual time."""
-
-
 class Simulator:
     """Single-threaded event loop over a virtual clock in seconds.
 
@@ -33,10 +29,10 @@ class Simulator:
     def schedule_at(self, fire_at, action, tag=""):
         """Schedule ``action()`` at virtual time ``fire_at``.
 
-        Scheduling in the past, or at NaN, raises PastTimeError.
+        Scheduling in the past, or at NaN, raises ValueError.
         """
         if not fire_at >= self.now:
-            raise PastTimeError(
+            raise ValueError(
                 f"cannot schedule at t={fire_at} (clock is {self.now})")
         entry = (fire_at, self._seq, action, tag)
         lane = self._lane
@@ -49,11 +45,11 @@ class Simulator:
     def run_until(self, t_end):
         """Dispatch every event with fire_at <= t_end; leave clock at t_end.
 
-        Running to a time in the past, or to NaN, raises PastTimeError.
+        Running to a time in the past, or to NaN, raises ValueError.
         Returns the number of events dispatched.
         """
         if not t_end >= self.now:
-            raise PastTimeError(
+            raise ValueError(
                 f"cannot run to t={t_end} (clock is {self.now})")
         lane = self._lane
         heap = self._heap

@@ -2,14 +2,6 @@
 memoryless uniform, plus their analytic reference statistics."""
 
 
-class UndefinedChainError(ValueError):
-    """p = q = 0 leaves the 2-state chain with no stationary distribution."""
-
-
-class InfiniteBurstError(ValueError):
-    """q = 0 never leaves the bad state, so burst length is unbounded."""
-
-
 class GilbertElliottModel:
     """2-state Markov loss process: 0% PLR in Good, 100% PLR in Bad.
 
@@ -43,14 +35,14 @@ class UniformLossModel:
 def steady_state_plr(p, q):
     """Stationary probability of the Bad state, p/(p+q)."""
     if p + q <= 0.0:
-        raise UndefinedChainError("p + q must be positive")
+        raise ValueError("p + q must be positive: no steady state")
     return p / (p + q)
 
 
 def mean_burst_length(q):
     """Expected consecutive drops: geometric sojourn in Bad, 1/q."""
     if q <= 0.0:
-        raise InfiniteBurstError("q must be positive")
+        raise ValueError("q must be positive: a burst never ends")
     return 1.0 / q
 
 

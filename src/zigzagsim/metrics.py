@@ -8,10 +8,6 @@ from .control import BASELINE, FIRST_CONGESTION_KIND, ZIGZAG, TraceRecord
 from .harness import WIRELESS_BANDWIDTH_BPS
 
 
-class PairingError(ValueError):
-    """Baseline/zig-zag runs must share scenario, seed and loss pattern."""
-
-
 def run_mean_throughput(result):
     """Payload bits the run's flows delivered in (warmup, duration], over
     the window length, counted flow by flow."""
@@ -123,12 +119,12 @@ def count_halve_violations(result):
 def summarize(baseline, zigzag):
     """Fold one paired (baseline, zig-zag) run into a summary row."""
     if baseline.scenario.key() != zigzag.scenario.key():
-        raise PairingError("runs do not share a scenario")
+        raise ValueError("runs do not share a scenario")
     if baseline.scenario.policy != BASELINE \
             or zigzag.scenario.policy != ZIGZAG:
-        raise PairingError("expected one baseline run and one zigzag run")
+        raise ValueError("expected one baseline run and one zigzag run")
     if not wireless_loss_prefix_equal(baseline, zigzag):
-        raise PairingError("wireless loss traces diverge; seeds differ?")
+        raise ValueError("wireless loss traces diverge; seeds differ?")
     sc = baseline.scenario
     tput_b = run_mean_throughput(baseline)
     tput_z = run_mean_throughput(zigzag)

@@ -11,6 +11,9 @@ GILBERT = "gilbert"
 UNIFORM = "uniform"
 NONE = "none"
 
+# one Sender per flow is built up front: 1,000 times the paper's 10 flows
+MAX_FLOWS = 10_000
+
 
 class ScenarioError(ValueError):
     """Invalid scenario; the message names the offending field."""
@@ -18,17 +21,20 @@ class ScenarioError(ValueError):
 
 def _check_types(record, prefix=""):
     """Reject a value not of its field default's type, naming the field; a
-    float field also takes an int, and only a bool field takes a bool."""
+    float field also takes an int, only a bool field takes a bool, and a
+    number must fit a float.  Neither message prints the value, which may
+    have too many digits to print."""
     for name, default in record._field_defaults.items():
         value = getattr(record, name)
         kind = type(default)
         if isinstance(value, bool) != (kind is bool) or not isinstance(
                 value, (int, float) if kind is float else kind):
             raise ScenarioError(f"{prefix}{name}: must be of type "
-                                f"{kind.__name__}, got {value!r}")
+                                f"{kind.__name__}, got {type(value).__name__}")
         # unlike math.isfinite, also false for an int too large for a float
-        if kind is float and not abs(value) <= float_info.max:
-            raise ScenarioError(f"{prefix}{name}: must be finite, got {value}")
+        if kind in (int, float) and not abs(value) <= float_info.max:
+            raise ScenarioError(f"{prefix}{name}: must be finite and fit a "
+                                "float")
 
 
 class LossSpec(namedtuple("LossSpec", "kind p q plr",
@@ -95,8 +101,11 @@ class Scenario(namedtuple("Scenario", SCENARIO_DEFAULTS,
 
     def validate(self):
         _check_types(self)
-        if self.flow_count < 1:
-            raise ScenarioError(f"flow_count: must be >= 1, got {self.flow_count}")
+        if not 1 <= self.flow_count <= MAX_FLOWS:
+            raise ScenarioError(f"flow_count: must be in [1, {MAX_FLOWS}], "
+                                f"got {self.flow_count}")
+        if not abs(self.seed) < 2 ** 64:
+            raise ScenarioError("seed: must be of magnitude below 2^64")
         if self.aggregate_rate_bps <= 0:
             raise ScenarioError("aggregate_rate_bps: must be positive")
         if self.policy not in (BASELINE, ZIGZAG):

@@ -13,7 +13,7 @@ from zigzagsim.kernel import RngStream, Simulator
 from zigzagsim.scenario import Scenario
 
 
-class TestEstimateRott:
+class TestOnAckRottSample:
     """The ROTT sample on_ack returns, and averages."""
 
     def test_half_of_rtt(self):
@@ -32,7 +32,7 @@ class TestEstimateRott:
             CongestionController().on_ack(-1.0)
 
 
-class TestRottEstimator:
+class TestRottMeanAndDeviation:
     """The controller's running ROTT mean and deviation.  A sample r is fed
     as on_ack(2 * r), which halves back to r exactly."""
 

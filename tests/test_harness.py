@@ -20,7 +20,7 @@ from zigzagsim.harness import (DRAW_CHUNK, IN_FLIGHT, INITIAL_RTO_S,
                                run_scenario)
 from zigzagsim.kernel import RngStream, Simulator
 from zigzagsim.loss import GilbertElliottModel, UniformLossModel
-from zigzagsim.scenario import LossSpec, Scenario, ScenarioError
+from zigzagsim.scenario import MAX_FLOWS, LossSpec, Scenario, ScenarioError
 
 WIRED_SER_S = 8000 / WIRED_BANDWIDTH_BPS
 WIRELESS_SER_S = 8000 / WIRELESS_BANDWIDTH_BPS
@@ -606,21 +606,25 @@ class TestTeardown:
 
 
 # values that Scenario.validate must reject, naming the field: out of
-# range, or not of the type of the field's default (an int field takes no
-# float or bool, a float field no str or bool, strict_n4 only a bool)
+# range, not of the type of the field's default (an int field takes no
+# float or bool, a float field no str or bool, strict_n4 only a bool), or
+# a number too large for a float, some of them with too many digits for
+# str to print
 INVALID = {
-    "flow_count": (0, -1, 2.5, True),
-    "aggregate_rate_bps": (0.0, -1.0e6, math.nan, math.inf, "1e6", True),
+    "flow_count": (0, -1, 2.5, True, MAX_FLOWS + 1, 10 ** 300,
+                   -10 ** 5000),
+    "aggregate_rate_bps": (0.0, -1.0e6, math.nan, math.inf, "1e6", True,
+                           10 ** 5000),
     "loss": ("gilbert", ("gilbert", 0.01, 0.5, 0.0)),
-    "policy": ("cubic", None),
+    "policy": ("cubic", None, 10 ** 5000),
     "duration_s": (math.nan, math.inf, 0.0),
-    "seed": (1.5, True),
+    "seed": (1.5, True, 2 ** 64, -2 ** 64, 10 ** 300),
     "warmup_s": (-1.0, math.nan),
-    "queue_capacity_pkts": (0, 1.5),
-    "packet_size_bytes": (0, -1000),
-    "feedback_size_bytes": (0, -40),
+    "queue_capacity_pkts": (0, 1.5, 10 ** 400),
+    "packet_size_bytes": (0, -1000, 10 ** 400),
+    "feedback_size_bytes": (0, -40, 10 ** 400),
     "alpha": (0.0, 0.5, math.nan),
-    "strict_n4": ("no", 1),
+    "strict_n4": ("no", 1, 10 ** 5000),
     "initial_ssthresh_pkts": (1.0, math.nan),
     "loss.kind": ("bursty", None),
     "loss.p": (-0.1, 1.5, math.nan, "0.1"),
@@ -639,9 +643,16 @@ READER_LOSS = {"loss.p": LossSpec("gilbert", q=0.5),
                "loss.plr": LossSpec("uniform")}
 
 
+def value_id(value):
+    """str(value), or the bit length of an int too long to read as an id."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"{'-' * (value < 0)}int{value.bit_length()}bits"
+    return str(value)
+
+
 @pytest.mark.parametrize("field,value", [
     (name, value) for name in sorted(INVALID) for value in INVALID[name]],
-    ids=str)
+    ids=value_id)
 def test_each_invalid_value_rejected_naming_its_field(field, value):
     if field.startswith("loss."):
         spec = READER_LOSS.get(field, LossSpec())

@@ -4,7 +4,7 @@ import heapq
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zigzagsim.kernel import PastTimeError, RngStream, Simulator
+from zigzagsim.kernel import RngStream, Simulator
 
 
 def record(log, tag):
@@ -35,11 +35,11 @@ def test_schedule_in_past_rejected():
     sim = Simulator()
     sim.schedule_at(1.0, lambda: None)
     sim.run_until(5.0)
-    with pytest.raises(PastTimeError):
+    with pytest.raises(ValueError, match="cannot schedule at t=4.0"):
         sim.schedule_at(4.0, lambda: None)
     # NaN compares false with everything, so it must not slip past the
     # check and stall the heap
-    with pytest.raises(PastTimeError):
+    with pytest.raises(ValueError, match="cannot schedule at t=nan"):
         sim.schedule_at(float("nan"), lambda: None)
 
 
@@ -50,7 +50,7 @@ def test_run_until_nan_rejected_and_clock_kept():
     log = []
     sim.run_until(2.0)
     sim.schedule_at(3.0, record(log, "queued"))
-    with pytest.raises(PastTimeError):
+    with pytest.raises(ValueError, match="cannot run to t=nan"):
         sim.run_until(float("nan"))
     assert sim.now == 2.0
     assert sim.run_until(5.0) == 1

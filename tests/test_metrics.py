@@ -98,12 +98,12 @@ class TestSummarize:
     def test_mismatched_seed_rejected(self):
         baseline, _ = run_pair(flow_count=1, loss=self.LOSS, seed=1)
         _, zigzag = run_pair(flow_count=1, loss=self.LOSS, seed=2)
-        with pytest.raises(metrics.PairingError):
+        with pytest.raises(ValueError, match="do not share a scenario"):
             metrics.summarize(baseline, zigzag)
 
     def test_policy_mismatch_rejected(self):
         baseline, zigzag = run_pair(flow_count=1, loss=self.LOSS, seed=1)
-        with pytest.raises(metrics.PairingError):
+        with pytest.raises(ValueError, match="one baseline run and one"):
             metrics.summarize(zigzag, baseline)
 
     def test_utilization_bounded(self):
