@@ -71,12 +71,13 @@ class CongestionController:
     identical between the two variants, so zero-loss runs are bitwise
     equivalent.  ``mean`` and ``dev`` are the exponential average and
     mean deviation, with gain ``alpha``, of the ``sample_count`` ROTT
-    samples taken so far.
+    samples taken so far.  Each call of ``on_ack`` and ``on_loss_event``
+    appends one row to ``trace``, the flow's ControllerTrace.
     """
 
     def __init__(self, policy=BASELINE, strict_n4=False, alpha=DEFAULT_ALPHA,
                  cwnd=INITIAL_CWND, ssthresh=INITIAL_SSTHRESH, mean=0.0,
-                 dev=0.0, sample_count=0):
+                 dev=0.0, sample_count=0, flow_id=0):
         self.policy = policy
         self.strict_n4 = strict_n4
         self.alpha = alpha
@@ -87,10 +88,12 @@ class CongestionController:
         self.mean = mean
         self.dev = dev
         self.sample_count = sample_count
+        self.trace = ControllerTrace(flow_id)
 
-    def on_ack(self, rtt, window_limited=True):
-        """Process the acknowledgement of one new packet; returns its ROTT
-        sample, RTT/2.  A non-positive sample raises ValueError.
+    def on_ack(self, t, rtt, window_limited=True):
+        """Process the acknowledgement of one new packet at time ``t`` and
+        trace it; returns its ROTT sample, RTT/2.  A non-positive sample
+        raises ValueError.
 
         The first sample sets mean = sample and dev = 0.  After that the
         mean is updated first, and its new value is used inside the
@@ -104,38 +107,47 @@ class CongestionController:
         if rott_i <= 0.0:
             raise ValueError(f"rott sample must be positive, got {rott_i}")
         if self.sample_count == 0:
-            self.mean = rott_i
-            self.dev = 0.0
+            self.mean = mean = rott_i
+            self.dev = dev = 0.0
         else:
             a = self.alpha
             self.mean = mean = (1.0 - a) * self.mean + a * rott_i
-            self.dev = (1.0 - 2.0 * a) * self.dev \
+            self.dev = dev = (1.0 - 2.0 * a) * self.dev \
                 + 2.0 * a * abs(rott_i - mean)
         self.sample_count += 1
+        cwnd = self.cwnd
+        ssthresh = self.ssthresh
         if window_limited:
-            cwnd = self.cwnd
-            self.cwnd = cwnd + 1 if cwnd < self.ssthresh else cwnd + 1 / cwnd
+            self.cwnd = cwnd = cwnd + 1 if cwnd < ssthresh else cwnd + 1 / cwnd
+        self.trace.rows += ROW.pack(t, cwnd, cwnd >= ssthresh, 0, rott_i,
+                                    mean, dev)
         return rott_i
 
-    def on_loss_event(self, event, forced_congestion=False):
-        """React to one loss event; returns its class.
+    def on_loss_event(self, t, event, forced_congestion=False):
+        """React to one loss event detected at time ``t`` and trace it;
+        returns its class.
 
         Baseline policy treats every event as congestion.  Timeout-detected
         events, and any before the first ROTT sample, are forced to
         congestion under either policy.
         """
+        n, rott_i = event
         if forced_congestion or self.policy == BASELINE \
                 or self.sample_count == 0:
             cls = CONGESTION
         else:
-            cls = classify_loss(event.n, event.rott_at_detection, self.mean,
-                                self.dev, self.strict_n4)
+            cls = classify_loss(n, rott_i, self.mean, self.dev,
+                                self.strict_n4)
         if cls == CONGESTION:
-            self.ssthresh = max(self.cwnd / 2.0, MIN_SSTHRESH)
-            self.cwnd = self.ssthresh
+            self.ssthresh = self.cwnd = max(self.cwnd / 2.0, MIN_SSTHRESH)
             self.congestion_events += 1
+            kind = 4
         else:
             self.wireless_events += 1
+            kind = 2
+        cwnd = self.cwnd
+        self.trace.rows += ROW.pack(t, cwnd, kind + (cwnd >= self.ssthresh),
+                                    n, rott_i, self.mean, self.dev)
         return cls
 
 
@@ -194,24 +206,13 @@ class ControllerTrace:
         self.flow_id = flow_id
         self.rows = bytearray()
 
-    def ack(self, t, ctrl, rott_i):
-        """Append the row of the ACK that ``ctrl`` has just processed."""
-        cwnd = ctrl.cwnd
-        self.rows += ROW.pack(t, cwnd, cwnd >= ctrl.ssthresh, 0, rott_i,
-                              ctrl.mean, ctrl.dev)
-
-    def loss(self, t, ctrl, loss_class, n, rott_i):
-        """Append the row of the loss event ``ctrl`` has just classified."""
-        cwnd = ctrl.cwnd
-        kind = (4 if loss_class == CONGESTION else 2) + (cwnd >= ctrl.ssthresh)
-        self.rows += ROW.pack(t, cwnd, kind, n, rott_i, ctrl.mean, ctrl.dev)
-
     def __len__(self):
         return len(self.rows) // ROW.size
 
     def unpack(self):
         """Each row as a (t, cwnd, kind, n, rott_i, mean, dev) tuple; until
-        the reader is exhausted or dropped, ack and loss raise BufferError."""
+        the reader is exhausted or dropped, the controller's on_ack and
+        on_loss_event raise BufferError."""
         return ROW.iter_unpack(self.rows)
 
     def __iter__(self):

@@ -17,8 +17,7 @@ from math import inf
 from . import loss
 # TraceRecord is not used here but stays importable from this module: the
 # benchmark's tracer patches it by name
-from .control import (CongestionController, ControllerTrace, LossEvent,
-                      TraceRecord)
+from .control import CongestionController, LossEvent, TraceRecord
 from .kernel import RngStream, Simulator
 
 WIRED_BANDWIDTH_BPS = 2.0e6
@@ -177,8 +176,8 @@ class Sender:
         self.receiver_delay_s = receiver_delay_s
         self.ctrl = CongestionController(
             policy=scenario.policy, strict_n4=scenario.strict_n4,
-            alpha=scenario.alpha, ssthresh=scenario.initial_ssthresh_pkts)
-        self.trace = ControllerTrace(flow_id)
+            alpha=scenario.alpha, ssthresh=scenario.initial_ssthresh_pkts,
+            flow_id=flow_id)
         self.stats = FlowStats()
         self.outstanding = {}  # seq -> sent_at, insertion = seq order
         # (seq, sent_at) of each delivered packet whose fb event is pending;
@@ -265,8 +264,7 @@ class Sender:
         window_limited = self.stats.generated > self.stats.sent or \
             len(out) + 1 >= int(ctrl.cwnd)
         out.pop(seq, None)
-        rott_i = ctrl.on_ack(now - sent_at, window_limited)
-        self.trace.ack(now, ctrl, rott_i)
+        rott_i = ctrl.on_ack(now, now - sent_at, window_limited)
         # the outstanding seqs below the DUP_THRESHOLD-th latest report
         # are lost (no retransmission)
         reported = self._reported
@@ -283,15 +281,13 @@ class Sender:
         self.try_send()
 
     def _apply_loss_event(self, lost, rott_i, forced):
-        """Delete the ``lost`` seqs, apply them as one loss event and trace it."""
+        """Delete the ``lost`` seqs and apply them as one loss event."""
         out = self.outstanding
         for s in lost:
             del out[s]
-        n = len(lost)
-        ctrl = self.ctrl
-        cls = ctrl.on_loss_event(LossEvent(n=n, rott_at_detection=rott_i),
-                                 forced_congestion=forced)
-        self.trace.loss(self.sim.now, ctrl, cls, n, rott_i)
+        self.ctrl.on_loss_event(
+            self.sim.now, LossEvent(n=len(lost), rott_at_detection=rott_i),
+            forced_congestion=forced)
 
     # -- timeout fallback ----------------------------------------------
 
@@ -412,12 +408,12 @@ class Network:
             sender.generate_until(horizon)
             stats = sender.stats
             stats.delivery_times = stats.delivery_times[:]
-            sender.trace.rows = sender.trace.rows[:]
+            sender.ctrl.trace.rows = sender.ctrl.trace.rows[:]
         return RunResult(
             scenario=self.scenario,
             flows=[s.stats for s in self.senders],
             controllers=[s.ctrl for s in self.senders],
-            traces=[s.trace for s in self.senders],
+            traces=[s.ctrl.trace for s in self.senders],
             loss_trace=self.path.loss_trace,
             queue_drop_log=self.path.queue_drop_log,
             events_dispatched=dispatched,

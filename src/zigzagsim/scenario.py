@@ -13,6 +13,9 @@ NONE = "none"
 
 # one Sender per flow is built up front: 1,000 times the paper's 10 flows
 MAX_FLOWS = 10_000
+# a run counts its CBR instants one loop step each: 1,000 times the
+# paper's largest run, 1.5 Mb/s of 1000-byte packets for 500 s (93,750)
+MAX_OFFERED_PKTS = 10 ** 8
 
 
 class ScenarioError(ValueError):
@@ -106,8 +109,9 @@ class Scenario(namedtuple("Scenario", SCENARIO_DEFAULTS,
                                 f"got {self.flow_count}")
         if not abs(self.seed) < 2 ** 64:
             raise ScenarioError("seed: must be of magnitude below 2^64")
-        if self.aggregate_rate_bps <= 0:
-            raise ScenarioError("aggregate_rate_bps: must be positive")
+        if self.per_flow_rate_bps <= 0:
+            raise ScenarioError("aggregate_rate_bps: must give each flow a "
+                                "positive rate")
         if self.policy not in (BASELINE, ZIGZAG):
             raise ScenarioError(f"policy: unknown policy {self.policy!r}")
         if self.warmup_s < 0:
@@ -119,6 +123,15 @@ class Scenario(namedtuple("Scenario", SCENARIO_DEFAULTS,
             raise ScenarioError("queue_capacity_pkts: must be >= 1")
         if self.packet_size_bytes < 1:
             raise ScenarioError("packet_size_bytes: must be >= 1")
+        # the offered packets, rate * duration / (8 * size), in an order
+        # that converts no int too large for a float, and in which an
+        # overflow to inf can only reject
+        if self.aggregate_rate_bps / 8.0 \
+                * (self.duration_s / self.packet_size_bytes) \
+                > MAX_OFFERED_PKTS:
+            raise ScenarioError(f"aggregate_rate_bps: offers more than "
+                                f"{MAX_OFFERED_PKTS:,} packets over "
+                                "duration_s")
         if self.feedback_size_bytes < 1:
             raise ScenarioError("feedback_size_bytes: must be >= 1")
         if not (0.0 < self.alpha < 0.5):

@@ -73,7 +73,7 @@ class TestRun:
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                          "--out", str(tmp_path / "out")]) == 1
 
-    @pytest.mark.parametrize("line, field", [
+    @pytest.mark.parametrize("lines, field", [
         ("aggregate_rate_bps = nan", "aggregate_rate_bps"),
         ("duration_s = inf", "duration_s"),
         ("initial_ssthresh_pkts = inf", "initial_ssthresh_pkts"),
@@ -81,21 +81,33 @@ class TestRun:
         ("duration_s = 100", "duration_s"),
         ("feedback_size_bytes = -100000", "feedback_size_bytes"),
         ("strict_n4 = ture", "strict_n4"),
-        ("flow_count = 7", "flow_count"),
+        ("flow_count = 1\nflow_count = 7", "flow_count"),
         ("loss.plr = 0.1", "loss.plr"),
         # 401 digits convert as an int, but the run cannot divide by it
         (f"packet_size_bytes = 1{'0' * 400}", "packet_size_bytes"),
         (f"feedback_size_bytes = 1{'0' * 400}", "feedback_size_bytes"),
+        # each flow's share rounds to 0.0, which the run would divide by
+        ("flow_count = 2\naggregate_rate_bps = 5e-324", "aggregate_rate_bps"),
+        # 1.5e18 packets in 120 s: a run that would never finish
+        ("aggregate_rate_bps = 1e20", "aggregate_rate_bps"),
     ], ids=["nan-rate", "inf-duration", "inf-ssthresh", "negative-warmup",
             "no-window", "negative-feedback", "not-a-boolean",
             "key-given-twice", "plr-of-gilbert", "401-digit-packet-size",
-            "401-digit-feedback-size"])
-    def test_out_of_range_value_rejected(self, tmp_path, capsys, line,
+            "401-digit-feedback-size", "per-flow-rate-rounds-to-zero",
+            "too-many-packets-offered"])
+    def test_out_of_range_value_rejected(self, tmp_path, capsys, lines,
                                          field):
-        config = write(tmp_path / "bad.cfg", REFERENCE_CONFIG + line + "\n")
+        # the reference config less the keys the case sets, so that a
+        # case is rejected for its value, not as a key set twice
+        keys = [line.partition("=")[0].strip() for line in lines.split("\n")]
+        kept = [line for line in REFERENCE_CONFIG.splitlines()
+                if line.partition("=")[0].strip() not in keys]
+        config = write(tmp_path / "bad.cfg", "\n".join(kept + [lines, ""]))
         assert cli.main(["run", "--config", config,
                          "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {field}:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}:")
+        assert ("set twice" in err) == (len(set(keys)) < len(keys))
 
     @pytest.mark.parametrize("text, key", [
         ("loss.plr = 0.1\n", "loss.plr"),

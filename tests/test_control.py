@@ -6,8 +6,8 @@ from zigzagsim.control import (BASELINE, CONGESTION, CONGESTION_AVOIDANCE,
                                FIRST_CONGESTION_KIND, INITIAL_CWND,
                                MIN_SSTHRESH, ROW, ROW_KINDS, SLOW_START,
                                WIRELESS, ZIGZAG,
-                               CongestionController, ControllerTrace,
-                               LossEvent, TraceRecord, classify_loss)
+                               CongestionController, LossEvent,
+                               TraceRecord, classify_loss)
 from zigzagsim.harness import ForwardPath, Sender
 from zigzagsim.kernel import RngStream, Simulator
 from zigzagsim.scenario import Scenario
@@ -17,42 +17,44 @@ class TestOnAckRottSample:
     """The ROTT sample on_ack returns, and averages."""
 
     def test_half_of_rtt(self):
-        assert CongestionController().on_ack(0.600) == pytest.approx(0.300)
-        assert CongestionController().on_ack(0.850) == pytest.approx(0.425)
+        assert CongestionController().on_ack(0.0, 0.600) \
+            == pytest.approx(0.300)
+        assert CongestionController().on_ack(0.0, 0.850) \
+            == pytest.approx(0.425)
 
     def test_uncongested_topology_rott(self):
         # 2 * (0.100 + 0.200) s of propagation, halved
-        assert CongestionController().on_ack(2 * (0.100 + 0.200)) \
+        assert CongestionController().on_ack(0.0, 2 * (0.100 + 0.200)) \
             == pytest.approx(0.300)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            CongestionController().on_ack(0.0)
+            CongestionController().on_ack(0.0, 0.0)
         with pytest.raises(ValueError):
-            CongestionController().on_ack(-1.0)
+            CongestionController().on_ack(0.0, -1.0)
 
 
 class TestRottMeanAndDeviation:
     """The controller's running ROTT mean and deviation.  A sample r is fed
-    as on_ack(2 * r), which halves back to r exactly."""
+    as on_ack(t, 2 * r), which halves back to r exactly."""
 
     def test_fixed_point(self):
         ctrl = CongestionController(alpha=0.125, mean=0.300, dev=0.0,
                                     sample_count=1)
-        ctrl.on_ack(2 * 0.300)
+        ctrl.on_ack(0.0, 2 * 0.300)
         assert ctrl.mean == pytest.approx(0.300)
         assert ctrl.dev == pytest.approx(0.0)
 
     def test_update_uses_new_mean_in_deviation(self):
         ctrl = CongestionController(alpha=0.125, mean=0.100, dev=0.020,
                                     sample_count=1)
-        ctrl.on_ack(2 * 0.180)
+        ctrl.on_ack(0.0, 2 * 0.180)
         assert ctrl.mean == pytest.approx(0.110)
         assert ctrl.dev == pytest.approx(0.0325)
 
     def test_first_sample_initializes(self):
         ctrl = CongestionController(alpha=0.125)
-        ctrl.on_ack(2 * 0.42)
+        ctrl.on_ack(0.0, 2 * 0.42)
         assert ctrl.mean == 0.42
         assert ctrl.dev == 0.0
         assert ctrl.sample_count == 1
@@ -60,7 +62,7 @@ class TestRottMeanAndDeviation:
     def test_rejects_nonpositive_sample(self):
         ctrl = CongestionController()
         with pytest.raises(ValueError):
-            ctrl.on_ack(2 * 0.0)
+            ctrl.on_ack(0.0, 2 * 0.0)
         # rejected before it changes anything
         assert (ctrl.sample_count, ctrl.cwnd) == (0, INITIAL_CWND)
 
@@ -71,7 +73,7 @@ class TestRottMeanAndDeviation:
         ctrl = CongestionController(alpha=alpha, mean=5 * r, dev=r,
                                     sample_count=1)
         for _ in range(k):
-            ctrl.on_ack(2 * r)
+            ctrl.on_ack(0.0, 2 * r)
         # exact geometric decay plus accumulated rounding slack
         assert abs(ctrl.mean - r) \
             <= 4 * r * (1 - alpha) ** k * (1 + 1e-6) + 1e-10 * r
@@ -85,7 +87,7 @@ class TestRottMeanAndDeviation:
                                     sample_count=1)
         prev = ctrl.dev
         for _ in range(50):
-            ctrl.on_ack(2 * r)
+            ctrl.on_ack(0.0, 2 * r)
             assert ctrl.dev <= prev
             prev = ctrl.dev
         # geometric decay down to the floating-point floor
@@ -161,7 +163,7 @@ class TestCongestionController:
     def test_slow_start_exponential_growth(self):
         ctrl = CongestionController(policy=BASELINE, cwnd=2.0, ssthresh=64.0)
         for _ in range(2):
-            assert ctrl.on_ack(rtt=0.6) == 0.6 / 2
+            assert ctrl.on_ack(0.0, rtt=0.6) == 0.6 / 2
         assert ctrl.cwnd == 2.0 + 1 + 1
         assert ctrl.cwnd < ctrl.ssthresh  # still in slow start
 
@@ -169,7 +171,7 @@ class TestCongestionController:
         ctrl = CongestionController(policy=BASELINE, cwnd=10.0, ssthresh=5.0)
         expected = 10.0
         for _ in range(10):
-            assert ctrl.on_ack(rtt=0.6) == 0.6 / 2
+            assert ctrl.on_ack(0.0, rtt=0.6) == 0.6 / 2
             expected += 1 / expected
         assert ctrl.cwnd == expected
         assert 10.9 < ctrl.cwnd < 11.0  # about one packet per window
@@ -179,7 +181,7 @@ class TestCongestionController:
         ctrl = CongestionController(policy=BASELINE, cwnd=3.0, ssthresh=5.0)
         expected = 3.0
         for _ in range(6):
-            ctrl.on_ack(rtt=0.6)
+            ctrl.on_ack(0.0, rtt=0.6)
             expected += 1 if expected < 5.0 else 1 / expected
             assert ctrl.cwnd == expected
         assert not ctrl.cwnd < ctrl.ssthresh  # congestion avoidance
@@ -188,23 +190,23 @@ class TestCongestionController:
         ctrl = CongestionController()
         before = ctrl.sample_count
         # the sample averaged is the one returned
-        assert ctrl.on_ack(rtt=0.6) == 0.6 / 2
+        assert ctrl.on_ack(0.0, rtt=0.6) == 0.6 / 2
         assert ctrl.sample_count == before + 1
         assert ctrl.mean == 0.6 / 2
-        assert ctrl.on_ack(rtt=0.9) == 0.9 / 2
+        assert ctrl.on_ack(0.0, rtt=0.9) == 0.9 / 2
         assert ctrl.mean \
             == (1.0 - ctrl.alpha) * (0.6 / 2) + ctrl.alpha * (0.9 / 2)
 
     def test_app_limited_ack_does_not_grow(self):
         ctrl = CongestionController(cwnd=10.0, ssthresh=5.0)
-        assert ctrl.on_ack(rtt=0.6, window_limited=False) == 0.6 / 2
+        assert ctrl.on_ack(0.0, rtt=0.6, window_limited=False) == 0.6 / 2
         assert ctrl.cwnd == pytest.approx(10.0)
 
     def test_baseline_always_halves(self):
         ctrl = CongestionController(policy=BASELINE, cwnd=16.0, ssthresh=8.0)
-        ctrl.on_ack(rtt=0.6)
+        ctrl.on_ack(0.0, rtt=0.6)
         # would classify wireless under zig-zag; baseline halves regardless
-        cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.01))
+        cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.01))
         assert cls == CONGESTION
         assert ctrl.cwnd == pytest.approx(16.0625 / 2)  # halved post-ack cwnd
         assert ctrl.congestion_events == 1
@@ -213,7 +215,7 @@ class TestCongestionController:
     def test_zigzag_wireless_keeps_window(self):
         ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
                                     mean=0.300, dev=0.010, sample_count=10)
-        cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.250))
+        cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.250))
         assert cls == WIRELESS
         assert ctrl.cwnd == pytest.approx(16.0)
         assert ctrl.wireless_events == 1
@@ -222,32 +224,32 @@ class TestCongestionController:
     def test_zigzag_congestion_halves(self):
         ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
                                     mean=0.300, dev=0.010, sample_count=10)
-        cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.400))
+        cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.400))
         assert cls == CONGESTION
         assert ctrl.cwnd == pytest.approx(8.0)
 
     def test_halving_floor(self):
         ctrl = CongestionController(policy=ZIGZAG, cwnd=3.0, ssthresh=2.0,
                                     mean=0.300, dev=0.0, sample_count=5)
-        ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.400))
+        ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.400))
         assert ctrl.cwnd == pytest.approx(2.0)
         assert ctrl.cwnd >= 1.0
 
     def test_unsampled_estimator_defaults_to_congestion(self):
         ctrl = CongestionController(policy=ZIGZAG, cwnd=10.0)
-        cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.0))
+        cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.0))
         assert cls == CONGESTION
         # a mean and deviation that would classify it wireless are not
         # read before the first sample
         ctrl = CongestionController(policy=ZIGZAG, cwnd=10.0, mean=0.300,
                                     dev=0.010, sample_count=0)
-        cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.250))
+        cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.250))
         assert cls == CONGESTION
 
     def test_forced_congestion_overrides_policy(self):
         ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
                                     mean=0.300, dev=0.010, sample_count=10)
-        cls = ctrl.on_loss_event(LossEvent(n=1, rott_at_detection=0.01),
+        cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.01),
                                  forced_congestion=True)
         assert cls == CONGESTION
 
@@ -257,7 +259,7 @@ class TestCongestionController:
         events = [LossEvent(n=n, rott_at_detection=r)
                   for n, r in [(1, 0.25), (2, 0.4), (1, 0.31), (4, 0.305)]]
         for ev in events:
-            ctrl.on_loss_event(ev)
+            ctrl.on_loss_event(0.0, ev)
         assert ctrl.congestion_events + ctrl.wireless_events == len(events)
 
     def test_window_is_cwnd_floored_to_whole_packets(self):
@@ -279,7 +281,7 @@ class TestCongestionController:
 
 class TestRowKinds:
     def test_kind_is_twice_the_event_plus_the_phase(self):
-        # the index rule the trace writers pack by: event 0 ack, 1
+        # the index rule on_ack and on_loss_event pack by: event 0 ack, 1
         # wireless loss, 2 congestion loss; phase 1 when cwnd >= ssthresh
         events = (("ack", ""), ("loss", WIRELESS), ("loss", CONGESTION))
         phases = (SLOW_START, CONGESTION_AVOIDANCE)
@@ -312,11 +314,12 @@ CALLS = st.one_of(
 
 
 class TestFoldedAckPath:
-    """on_ack and the trace writers against a reference written out here:
+    """on_ack and on_loss_event against a reference written out here:
     the ROTT sample is RTT/2, the mean and deviation follow the EWMA from
     any starting alpha, mean, dev and sample count, the window grows by one
-    below ssthresh and by 1/cwnd otherwise, and a row packs (phase, event,
-    class) as its index in ROW_KINDS."""
+    below ssthresh and by 1/cwnd otherwise, and each call appends one row
+    to the controller's trace, packing (phase, event, class) as its index
+    in ROW_KINDS."""
 
     @staticmethod
     def reference_class(policy, strict_n4, forced, samples, n, rott_i, mean,
@@ -341,14 +344,14 @@ class TestFoldedAckPath:
         ctrl = CongestionController(policy=policy, strict_n4=strict_n4,
                                     alpha=alpha, cwnd=cwnd, ssthresh=ssthresh,
                                     mean=mean, dev=dev, sample_count=samples)
-        trace = ControllerTrace(0)
+        trace = ctrl.trace
         a = alpha
         for t, call in enumerate(calls):
             before = len(trace.rows)
             if call[0] == "ack":
                 _, rtt, window_limited = call
                 rott_i = rtt / 2
-                assert ctrl.on_ack(rtt, window_limited) == rott_i
+                assert ctrl.on_ack(t, rtt, window_limited) == rott_i
                 if samples == 0:
                     mean, dev = rott_i, 0.0
                 else:
@@ -358,18 +361,16 @@ class TestFoldedAckPath:
                 samples += 1
                 if window_limited:
                     cwnd += 1 if cwnd < ssthresh else 1 / cwnd
-                trace.ack(t, ctrl, rott_i)
                 event, cls, n = "ack", "", 0
             else:
                 _, n, rott_i, forced = call
                 cls = self.reference_class(policy, strict_n4, forced,
                                            samples, n, rott_i, mean, dev)
-                assert ctrl.on_loss_event(LossEvent(n, rott_i),
+                assert ctrl.on_loss_event(t, LossEvent(n, rott_i),
                                           forced_congestion=forced) == cls
                 if cls == CONGESTION:
                     ssthresh = max(cwnd / 2.0, MIN_SSTHRESH)
                     cwnd = ssthresh
-                trace.loss(t, ctrl, cls, n, rott_i)
                 event = "loss"
             assert (ctrl.cwnd, ctrl.ssthresh) == (cwnd, ssthresh)
             assert (ctrl.mean, ctrl.dev, ctrl.sample_count) \

@@ -167,18 +167,19 @@ def test_loss_flags_and_delivery_times_are_packed():
                for fs in result.flows) / deliveries <= 8
 
 
-def test_golden_run_makes_at_most_9_6_python_calls_per_packet():
+def test_golden_run_makes_at_most_8_5_python_calls_per_packet():
     """Python-function calls during the golden zigzag run, per delivered
     packet, counted exactly as the ``call`` events of ``sys.setprofile``.
 
     The count is the same on every run, so it guards the per-packet path
     against added Python work without timing anything: 14.47 calls per
     packet before on_ack and the trace writers stopped calling accessors,
-    10.50 after, and 9.48 once the controller kept the ROTT mean and
+    10.50 after, 9.48 once the controller kept the ROTT mean and
     deviation itself and the loss writer stopped reading a phase
-    property.  Work done in C (a builtin, a ``struct`` pack, a ``deque``
-    operation) does not show in it, so a change that moves work into C
-    can be faster at an equal count.
+    property, and 8.43 once the controller appended its own trace rows
+    in place of the sender's two writers.  Work done in C (a builtin, a
+    ``struct`` pack, a ``deque`` operation) does not show in it, so a
+    change that moves work into C can be faster at an equal count.
     """
     net = Network(SCENARIO.with_policy("zigzag"))
     calls = 0
@@ -196,4 +197,4 @@ def test_golden_run_makes_at_most_9_6_python_calls_per_packet():
         sys.setprofile(previous)
     delivered = sum(fs.delivered for fs in result.flows)
     assert delivered == GOLDEN["zigzag"]["totals"]["delivered"]
-    assert calls / delivered <= 9.6
+    assert calls / delivered <= 8.5

@@ -74,7 +74,7 @@ def fired(sim, tag):
 
 
 def timeout_times(sender):
-    return [r.t for r in sender.trace if r.event_type == "loss"]
+    return [r.t for r in sender.ctrl.trace if r.event_type == "loss"]
 
 
 class TestFifoLink:
@@ -393,11 +393,11 @@ def holed_sender(holes, duration_s=10.0):
     return sender, delivered
 
 
-def acks_before_losses(sender):
+def traced_losses(sender):
     """For each loss row of the trace: (acks before it, its n)."""
     acks = 0
     losses = []
-    for r in sender.trace:
+    for r in sender.ctrl.trace:
         if r.event_type == "ack":
             acks += 1
         else:
@@ -419,28 +419,28 @@ class TestDuplicateFeedbackLoss:
         sender, delivered = holed_sender({5})
         assert delivered[:8] == [0, 1, 2, 3, 4, 6, 7, 8]
         # lost exactly at the ACK of 8, after the ACKs of 6 and 7
-        assert acks_before_losses(sender) == [(third_later_ack(delivered, 5),
-                                               1)]
+        assert traced_losses(sender) == [(third_later_ack(delivered, 5),
+                                          1)]
         assert third_later_ack(delivered, 5) == 8
         assert sender.stats.timeouts == 0
         assert 5 not in sender.outstanding
 
     def test_contiguous_holes_form_one_event(self):
         sender, delivered = holed_sender({5, 6, 7})
-        assert acks_before_losses(sender) == [(third_later_ack(delivered, 7),
-                                               3)]
+        assert traced_losses(sender) == [(third_later_ack(delivered, 7),
+                                          3)]
         assert sender.stats.timeouts == 0
 
     def test_separated_holes_form_two_events(self):
         for holes in ({5, 12}, {5, 7}):
             sender, delivered = holed_sender(holes)
-            assert acks_before_losses(sender) == [
+            assert traced_losses(sender) == [
                 (third_later_ack(delivered, h), 1) for h in sorted(holes)]
             assert sender.stats.timeouts == 0
         # {5, 7} is the boundary: 5 falls below the third-latest report (9)
         # at the 8th ACK, one ACK before 7 falls below 10, so one ACK's
         # lost seqs never skip a delivered one
-        assert acks_before_losses(sender) == [(8, 1), (9, 1)]
+        assert traced_losses(sender) == [(8, 1), (9, 1)]
 
 
 class TestTopologyBuild:
@@ -614,7 +614,7 @@ INVALID = {
     "flow_count": (0, -1, 2.5, True, MAX_FLOWS + 1, 10 ** 300,
                    -10 ** 5000),
     "aggregate_rate_bps": (0.0, -1.0e6, math.nan, math.inf, "1e6", True,
-                           10 ** 5000),
+                           10 ** 5000, 1e20),
     "loss": ("gilbert", ("gilbert", 0.01, 0.5, 0.0)),
     "policy": ("cubic", None, 10 ** 5000),
     "duration_s": (math.nan, math.inf, 0.0),
@@ -669,6 +669,15 @@ def test_int_beyond_the_float_range_rejected():
     with pytest.raises(ScenarioError,
                        match="^aggregate_rate_bps: must be finite"):
         run_scenario(Scenario(aggregate_rate_bps=2 ** 1024))
+
+
+def test_per_flow_rate_that_rounds_to_zero_rejected():
+    # positive in aggregate, but 5e-324 / 2 is 0.0, and the sender's
+    # packet interval would divide by it
+    sc = Scenario(flow_count=2, aggregate_rate_bps=5e-324)
+    assert sc.per_flow_rate_bps == 0.0
+    with pytest.raises(ScenarioError, match="^aggregate_rate_bps:"):
+        run_scenario(sc)
 
 
 @st.composite
@@ -730,10 +739,10 @@ def check_loss_events_per_feedback(sender):
         assert seq > last_reported[0]
         last_reported[0] = seq
         before = set(sender.outstanding)
-        rows = len(sender.trace)
+        rows = len(sender.ctrl.trace)
         on_feedback()
         lost = sorted(before - set(sender.outstanding) - {seq})
-        losses = [r.n for r in islice(sender.trace, rows, None)
+        losses = [r.n for r in islice(sender.ctrl.trace, rows, None)
                   if r.event_type == "loss"]
         if lost:
             assert lost == list(range(lost[0], lost[-1] + 1))

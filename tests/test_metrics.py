@@ -95,6 +95,16 @@ class TestSummarize:
         assert row.throughput_increase_pct == pytest.approx(0.0, abs=1e-9)
         assert row.wireless_zigzag == 0
 
+    def test_nothing_delivered_pair(self):
+        # every packet is lost on the wireless hop: a zero baseline gives
+        # an increase of 0.0, not a division by zero
+        baseline, zigzag = run_pair(flow_count=1, seed=3,
+                                    loss=LossSpec("uniform", plr=1.0))
+        row = metrics.summarize(baseline, zigzag)
+        assert (row.mean_throughput_baseline_bps,
+                row.mean_throughput_zigzag_bps,
+                row.throughput_increase_pct) == (0.0, 0.0, 0.0)
+
     def test_mismatched_seed_rejected(self):
         baseline, _ = run_pair(flow_count=1, loss=self.LOSS, seed=1)
         _, zigzag = run_pair(flow_count=1, loss=self.LOSS, seed=2)
