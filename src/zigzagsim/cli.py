@@ -7,12 +7,12 @@ import os
 import sys
 
 from . import loss as loss_models
-from . import metrics
-from .control import BASELINE, ZIGZAG
-from .harness import run_scenario
 from .kernel import RngStream
-from .scenario import (CONVERTERS, GILBERT, UNIFORM, LossSpec, Scenario,
-                       ScenarioError, convert, load_scenario, read_pairs)
+# the simulation layers (control, harness, metrics) load only in the
+# functions that run a simulation, so validate-loss never compiles them
+from .scenario import (BASELINE, CONVERTERS, GILBERT, UNIFORM, ZIGZAG,
+                       LossSpec, Scenario, ScenarioError, convert,
+                       load_scenario, read_pairs)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,7 +49,15 @@ def _run_tag(scenario):
             f"seed{scenario.seed}_{scenario.policy}")
 
 
+def run_scenario(scenario):
+    """harness.run_scenario, under the name that run_pair and cmd_run call,
+    which a caller may replace to see every run."""
+    from . import harness
+    return harness.run_scenario(scenario)
+
+
 def _write_run_artifacts(out_dir, result):
+    from . import metrics
     tag = _run_tag(result.scenario)
     series = metrics.throughput_series(result)
     metrics.write_series_csv(os.path.join(out_dir, f"{tag}_series.csv"),
@@ -60,6 +68,7 @@ def _write_run_artifacts(out_dir, result):
 
 
 def cmd_run(args):
+    from . import metrics
     try:
         scenario = load_scenario(args.config)
     except (OSError, ScenarioError) as exc:
@@ -145,6 +154,7 @@ def expand_matrix(spec):
 
 def run_pair(template, out_dir=None):
     """Run one scenario under both policies and summarize the pair."""
+    from . import metrics
     baseline = run_scenario(template.with_policy(BASELINE))
     zigzag = run_scenario(template.with_policy(ZIGZAG))
     if out_dir is not None:
@@ -167,6 +177,8 @@ def run_matrix(templates, out_dir, jobs=1):
     # both return the outcomes in payload order
     if jobs > 1 and len(payloads) > 1:
         import multiprocessing  # deferred: only matrix --jobs N>1 uses it
+        # loaded before the fork, so that no worker compiles them again
+        from . import harness, metrics  # noqa: F401
         with multiprocessing.Pool(min(jobs, len(payloads))) as pool:
             outcomes = pool.map(_pair_worker, payloads)
     else:
@@ -177,6 +189,7 @@ def run_matrix(templates, out_dir, jobs=1):
 
 
 def cmd_matrix(args):
+    from . import metrics
     if args.jobs < 1:
         print(f"error: --jobs: must be >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,8 +11,9 @@ exponential mean and deviation.
 import struct
 from collections import namedtuple
 
-BASELINE = "baseline"
-ZIGZAG = "zigzag"
+# the policy names and the defaults a scenario validates are scenario's
+from .scenario import (BASELINE, DEFAULT_ALPHA, INITIAL_SSTHRESH,
+                       MIN_SSTHRESH, ZIGZAG)
 
 WIRELESS = "wireless"
 CONGESTION = "congestion"
@@ -20,12 +21,7 @@ CONGESTION = "congestion"
 SLOW_START = "slow_start"
 CONGESTION_AVOIDANCE = "congestion_avoidance"
 
-DEFAULT_ALPHA = 0.125
 INITIAL_CWND = 2.0
-# capped near the bottleneck buffer so startup slow start cannot blow
-# straight through the drop-tail queue
-INITIAL_SSTHRESH = 50.0
-MIN_SSTHRESH = 2.0
 
 
 class LossEvent(namedtuple("LossEvent", "n rott_at_detection")):

@@ -4,12 +4,20 @@ from collections import namedtuple
 from sys import float_info
 
 from . import loss as loss_models
-from .control import (BASELINE, DEFAULT_ALPHA, INITIAL_SSTHRESH,
-                      MIN_SSTHRESH, ZIGZAG)
 
 GILBERT = "gilbert"
 UNIFORM = "uniform"
 NONE = "none"
+
+# the two policies and the controller defaults a scenario validates;
+# control imports them from here, so validate-loss never loads control
+BASELINE = "baseline"
+ZIGZAG = "zigzag"
+DEFAULT_ALPHA = 0.125
+# capped near the bottleneck buffer so startup slow start cannot blow
+# straight through the drop-tail queue
+INITIAL_SSTHRESH = 50.0
+MIN_SSTHRESH = 2.0
 
 # one Sender per flow is built up front: 1,000 times the paper's 10 flows
 MAX_FLOWS = 10_000

@@ -230,6 +230,27 @@ class TestMatrix:
         assert (out1 / "summary.csv").read_bytes() \
             == (out2 / "summary.csv").read_bytes()
 
+    def test_replacing_run_scenario_intercepts_every_run(self, tmp_path,
+                                                         monkeypatch):
+        """A caller can capture each run of a pair or a serial matrix by
+        replacing cli.run_scenario, as the benchmark's checks do."""
+        run = cli.run_scenario
+        seen = []
+
+        def capture(scenario):
+            seen.append(scenario)
+            return run(scenario)
+
+        monkeypatch.setattr(cli, "run_scenario", capture)
+        templates = [Scenario(flow_count=n, duration_s=30.0, warmup_s=10.0)
+                     for n in (1, 2)]
+        cli.run_pair(templates[0])
+        rows, failures = cli.run_matrix(templates, str(tmp_path), jobs=1)
+        assert (len(rows), failures) == (2, [])
+        assert seen == [t.with_policy(policy)
+                        for t in (templates[0], *templates)
+                        for policy in ("baseline", "zigzag")]
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch,
                                      jobs):
@@ -447,6 +468,25 @@ def test_library_use_and_validate_loss_load_no_deferred_import():
             " report=lambda s: None)\n"
             f"print(sorted(set({DEFERRED_IMPORTS!r}) & set(sys.modules)))\n")
     assert fresh_interpreter_output(code) == "[]\n"
+
+
+def test_validate_loss_loads_only_the_layers_it_runs():
+    """Importing cli loads none of the simulation layers (control, harness
+    and metrics), and validate_loss_model loads only the loss model, the
+    RNG streams and the scenario records."""
+    code = ("import sys\n"
+            "import zigzagsim.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'zigzagsim')\n"
+            "print(sorted({'zigzagsim.control', 'zigzagsim.harness',"
+            " 'zigzagsim.metrics'} & set(loaded())))\n"
+            "zigzagsim.cli.validate_loss_model(0.01, 0.5, 10**5, 1,"
+            " report=lambda s: None)\n"
+            "print(loaded())\n")
+    assert fresh_interpreter_output(code).splitlines() == [
+        "[]", str(["zigzagsim", "zigzagsim.cli", "zigzagsim.kernel",
+                   "zigzagsim.loss", "zigzagsim.scenario"])]
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

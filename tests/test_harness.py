@@ -326,6 +326,19 @@ class TestLazyTimer:
         assert fired(sim, "rto") == [0.75]
         assert timeout_times(sender) == [0.75]
 
+    def test_packet_sent_exactly_grace_before_the_timeout_is_stale(self):
+        sim, sender = lone_sender(Scenario())
+        # grace = 2 * mean = 0.5 s; every time below is exact in binary
+        sender.ctrl.sample_count, sender.ctrl.mean = 1, 0.25
+        sim.now = 2.0
+        sender.outstanding = {0: 1.0, 1: 1.5, 2: 1.75}
+        sender.stats.generated = sender.stats.sent = 3
+        sender._next_gen = 10.0  # no CBR instant is due
+        sender._on_timeout()
+        # seq 1, sent at now - grace, is declared lost with seq 0
+        assert sender.outstanding == {2: 1.75}
+        assert traced_losses(sender) == [(0, 2)]
+
 
 class TestLazySource:
     """CBR instants are counted from the clock; a wakeup is scheduled only
@@ -348,6 +361,19 @@ class TestLazySource:
         instants = cbr_instants(0.3, 8000 / 2.0e5, sc.duration_s)
         assert sent_at == instants
         assert sender.stats.generated == len(instants)
+
+    def test_instant_at_the_feedback_time_is_sent_in_that_feedback(self):
+        sim, sender = lone_sender(Scenario())
+        sim.now = 1.0
+        sender.outstanding = {0: 0.5}
+        sender._feedback.append((0, 0.5))
+        sender.stats.generated = sender.stats.sent = 1
+        # a wakeup at this instant is still pending, so only the feedback
+        # can generate the instant before it sends
+        sender._next_gen = 1.0
+        sender.on_feedback()
+        assert sender.stats.generated == sender.stats.sent == 2
+        assert sender.outstanding == {1: 1.0}
 
     def test_full_window_schedules_no_gen_event(self):
         sim, sender = silent_sender()
