@@ -142,7 +142,8 @@ def expand_matrix(spec):
         elif kind == UNIFORM:
             lspec = LossSpec(kind=UNIFORM, plr=couple.analytic_plr)
         else:
-            raise ScenarioError(f"kinds: unknown loss kind {kind!r}")
+            raise ScenarioError(f"kinds: a matrix compares {GILBERT} or "
+                                f"{UNIFORM} loss, not {kind!r}")
         template = Scenario(loss=lspec, **point).validate()
         # the uniform kind runs two couples with one p/(p+q) as one scenario
         if template in templates:

@@ -11,7 +11,7 @@ feedback time are both known when it is sent.
 """
 
 from array import array
-from collections import deque
+from collections import deque, namedtuple
 from math import inf
 
 from . import loss
@@ -44,27 +44,25 @@ DRAW_CHUNK = 4096
 
 
 class LossTrace:
-    """The wireless hop's drop flags, one byte per loss draw.
+    """A finished run's wireless drop flags, one byte per loss draw.
 
-    ``flags`` may run ahead of the packets drawn so far, which are its
-    first ``n`` bytes.  Slicing gives those bytes; iterating yields
-    (packet_index, dropped) pairs.
+    Slicing gives its bytes; iterating yields (packet_index, dropped)
+    pairs.
     """
 
-    __slots__ = ("flags", "n")
+    __slots__ = ("flags",)
 
-    def __init__(self):
-        self.flags = bytearray()
-        self.n = 0
+    def __init__(self, flags):
+        self.flags = flags
 
     def __len__(self):
-        return self.n
+        return len(self.flags)
 
     def __getitem__(self, index):
-        return bytes(memoryview(self.flags)[:self.n])[index]
+        return self.flags[index]
 
     def __iter__(self):
-        return enumerate(self.flags[:self.n])
+        return enumerate(self.flags)
 
 
 class ForwardPath:
@@ -78,7 +76,8 @@ class ForwardPath:
     a full queue are dropped (the congestion losses).  Each admitted
     packet reads the next drop flag, drawn from the loss model DRAW_CHUNK
     flags at a time; a wireless drop still consumes airtime but never
-    arrives.
+    arrives.  ``flags`` may run ahead of the packets drawn so far, which
+    read its first ``drawn`` bytes.
     """
 
     def __init__(self, capacity, loss_model, rng, horizon_s):
@@ -89,7 +88,8 @@ class ForwardPath:
         self.wired_busy_until = 0.0
         self._departures = deque()  # wireless transmission-complete times
         self.queue_drop_log = []    # (arrival time, flow_id, seq)
-        self.loss_trace = LossTrace()
+        self.flags = bytearray()
+        self.drawn = 0
 
     def send(self, now, flow_id, seq, size_bytes):
         """Send one packet from n0 at ``now``.
@@ -118,14 +118,13 @@ class ForwardPath:
         done = start + size_bytes * 8.0 / WIRELESS_BANDWIDTH_BPS
         dep.append(done)
         if self.loss_model is not None:
-            trace = self.loss_trace
-            n = trace.n
-            flags = trace.flags
+            n = self.drawn
+            flags = self.flags
             if n == len(flags):
                 # through the module, where the benchmark's tracer wraps it
                 flags += loss.simulate_trace(self.loss_model, self.rng,
                                              DRAW_CHUNK)
-            trace.n = n + 1
+            self.drawn = n + 1
             if flags[n]:
                 return WIRELESS_DROP
         delivery = done + WIRELESS_DELAY_S
@@ -352,16 +351,17 @@ class Sender:
         self.try_send()
 
 
-class RunResult:
-    def __init__(self, scenario, flows, controllers, traces, loss_trace,
-                 queue_drop_log, events_dispatched):
-        self.scenario = scenario
-        self.flows = flows                  # FlowStats per flow
-        self.controllers = controllers      # CongestionController per flow
-        self.traces = traces                # ControllerTrace per flow
-        self.loss_trace = loss_trace        # one drop flag per wireless draw
-        self.queue_drop_log = queue_drop_log  # (time, flow_id, seq)
-        self.events_dispatched = events_dispatched
+class RunResult(namedtuple("RunResult", (
+        "scenario flows controllers loss_trace queue_drop_log "
+        "events_dispatched"))):
+    """One finished run: a FlowStats and a CongestionController per flow,
+    and the (arrival time, flow_id, seq) of each queue drop."""
+
+    __slots__ = ()
+
+    @property
+    def traces(self):
+        return [c.trace for c in self.controllers]
 
     @property
     def congestion_events(self):
@@ -402,8 +402,6 @@ class Network:
         self.sim.drop_pending()
         # the finished records at their exact size: without the flags drawn
         # ahead, or the spare room of the delivery arrays and the traces
-        trace = self.path.loss_trace
-        trace.flags = trace.flags[:trace.n]
         for sender in self.senders:
             sender.generate_until(horizon)
             stats = sender.stats
@@ -413,8 +411,7 @@ class Network:
             scenario=self.scenario,
             flows=[s.stats for s in self.senders],
             controllers=[s.ctrl for s in self.senders],
-            traces=[s.ctrl.trace for s in self.senders],
-            loss_trace=self.path.loss_trace,
+            loss_trace=LossTrace(bytes(self.path.flags[:self.path.drawn])),
             queue_drop_log=self.path.queue_drop_log,
             events_dispatched=dispatched,
         )

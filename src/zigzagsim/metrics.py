@@ -73,17 +73,6 @@ def delivery_hash(result):
     return h.hexdigest()
 
 
-def wireless_loss_prefix_equal(a, b):
-    """True iff the two runs saw the same wireless drop pattern.
-
-    The paired runs transmit different packet counts, so the traces are
-    compared over their common prefix of the shared drop stream; a slice
-    of a loss trace is its drop flags as bytes.
-    """
-    n = min(len(a.loss_trace), len(b.loss_trace))
-    return a.loss_trace[:n] == b.loss_trace[:n]
-
-
 class ExperimentResult(namedtuple("ExperimentResult", (
         "flow_count loss_kind plr_pct aggregate_rate_bps seed "
         "congestion_baseline congestion_zigzag wireless_zigzag "
@@ -123,7 +112,9 @@ def summarize(baseline, zigzag):
     if baseline.scenario.policy != BASELINE \
             or zigzag.scenario.policy != ZIGZAG:
         raise ValueError("expected one baseline run and one zigzag run")
-    if not wireless_loss_prefix_equal(baseline, zigzag):
+    # the paired runs read one drop stream, each as far as its packets went
+    n = min(len(baseline.loss_trace), len(zigzag.loss_trace))
+    if baseline.loss_trace[:n] != zigzag.loss_trace[:n]:
         raise ValueError("wireless loss traces diverge; seeds differ?")
     sc = baseline.scenario
     tput_b = run_mean_throughput(baseline)

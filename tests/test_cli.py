@@ -73,6 +73,11 @@ class TestRun:
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg"),
                          "--out", str(tmp_path / "out")]) == 1
 
+    def test_out_a_regular_file_is_a_runtime_error(self, tmp_path, capsys):
+        config = write(tmp_path / "scenario.cfg", REFERENCE_CONFIG)
+        assert cli.main(["run", "--config", config, "--out", config]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("lines, field", [
         ("aggregate_rate_bps = nan", "aggregate_rate_bps"),
         ("duration_s = inf", "duration_s"),
@@ -174,6 +179,14 @@ class TestScenarioKeys:
         parsed = read(parse_scenario_text(text))
         assert parsed == value and type(parsed) is type(value)
 
+    def test_comments_and_blank_lines_ignored(self):
+        commented = ("# the reference run\n\n"
+                     + REFERENCE_CONFIG.replace("seed = 1\n",
+                                                "seed = 1  # the first\n")
+                     + "   \n")
+        assert parse_scenario_text(commented) \
+            == parse_scenario_text(REFERENCE_CONFIG)
+
 
 class TestScenarioRecords:
     """Scenario and LossSpec are values: immutable, equal and hashed by
@@ -250,6 +263,41 @@ class TestMatrix:
         assert seen == [t.with_policy(policy)
                         for t in (templates[0], *templates)
                         for policy in ("baseline", "zigzag")]
+
+    def test_failing_pair_keeps_the_other_row(self, tmp_path, capsys,
+                                              monkeypatch):
+        """A pair whose run raises is reported by its run tag; the other
+        pair's row is still written, and the matrix exits 2."""
+        run = cli.run_scenario
+
+        def run_or_fail(scenario):
+            if scenario.flow_count == 2:
+                raise RuntimeError("injected failure")
+            return run(scenario)
+
+        monkeypatch.setattr(cli, "run_scenario", run_or_fail)
+        spec = write(tmp_path / "matrix.cfg",
+                     TINY_MATRIX.replace("flows = 2", "flows = 1,2"))
+        templates = cli.expand_matrix(cli.load_matrix_spec(spec))
+        rows, failures = cli.run_matrix(templates, None, jobs=1)
+        assert [row.flow_count for row in rows] == [1]
+        assert failures == [f"{cli._run_tag(templates[1])}: injected failure"]
+        out = tmp_path / "out"
+        assert cli.main(["matrix", "--spec", spec, "--out", str(out)]) == 2
+        assert len((out / "summary.csv").read_text().splitlines()) == 2
+        assert f"failed: {failures[0]}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["none", "bursty"])
+    def test_kind_a_matrix_cannot_compare_rejected(self, tmp_path, capsys,
+                                                   kind):
+        spec = write(tmp_path / "matrix.cfg",
+                     TINY_MATRIX.replace("gilbert", kind))
+        out = tmp_path / "out"
+        assert cli.main(["matrix", "--spec", spec, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: kinds: a matrix compares "
+                                           f"gilbert or uniform loss, not "
+                                           f"{kind!r}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch,

@@ -112,20 +112,19 @@ class TestBottleneckLink:
         when, flow_id, seq = path.queue_drop_log[0]
         assert when == pytest.approx(4 * WIRED_SER_S + WIRED_DELAY_S)
         assert (flow_id, seq) == (1, 3)
-        assert len(path.loss_trace) == 0
+        assert path.flags[:path.drawn] == b""
 
     def test_bad_state_packet_never_delivered(self):
         path = make_path(loss_model=UniformLossModel(1.0))
         assert path.send(0.0, 0, 0, 1000) is WIRELESS_DROP
-        assert list(path.loss_trace) == [(0, 1)]
+        assert path.flags[:path.drawn] == b"\x01"
 
     def test_loss_trace_indexes_every_transmitted_packet(self):
         path = make_path(capacity=2, loss_model=UniformLossModel(0.0))
         outcomes = [path.send(0.0, 0, i, 1000) for i in range(5)]
         admitted = [o for o in outcomes if o is not QUEUE_DROP]
         assert len(admitted) == 4
-        assert [e[0] for e in path.loss_trace] == [0, 1, 2, 3]
-        assert all(e[1] == 0 for e in path.loss_trace)
+        assert path.flags[:path.drawn] == bytes(4)
 
     def test_arrival_after_horizon_makes_no_draw(self):
         # a sender's first packets reach n1 at 0.104 s and later, after the
@@ -138,7 +137,7 @@ class TestBottleneckLink:
         sim.run_until(0.05)
         assert sender.stats.sent > 0
         assert sender.stats.queue_drops == sender.stats.wireless_drops == 0
-        assert list(path.loss_trace) == [] and path.queue_drop_log == []
+        assert path.flags[:path.drawn] == b"" and path.queue_drop_log == []
         assert path.send(0.05, 0, 99, 1000) is IN_FLIGHT
         # an arrival exactly at the horizon is still admitted
         on_time = make_path(loss_model=UniformLossModel(1.0),
@@ -149,13 +148,13 @@ class TestBottleneckLink:
         # and later, after the 0.2 s horizon
         drawn = make_path(loss_model=UniformLossModel(0.0), horizon_s=0.2)
         assert drawn.send(0.0, 0, 0, 1000) is IN_FLIGHT
-        assert list(drawn.loss_trace) == [(0, 0)]
+        assert drawn.flags[:drawn.drawn] == b"\x00"
         for horizon_s in (0.2, make_path().send(0.0, 0, 0, 1000)):
             sim, sender = lone_sender(Scenario(
                 loss=LossSpec("uniform", plr=0.0), duration_s=horizon_s))
             sim.run_until(horizon_s)
             fs = sender.stats
-            assert fs.sent == len(sender.path.loss_trace) == 2
+            assert fs.sent == sender.path.drawn == 2
             assert fs.queue_drops == fs.wireless_drops == 0
             # a delivery exactly at the horizon still counts
             on_time = [] if horizon_s == 0.2 else [horizon_s]
@@ -250,10 +249,7 @@ class TestChunkedLossDraws:
             seq += 1
         assert len(ref.loss_trace) > DRAW_CHUNK
         assert outcomes == ref_outcomes
-        assert list(path.loss_trace) == ref.loss_trace
-        assert len(path.loss_trace) == len(ref.loss_trace)
-        assert path.loss_trace[:] \
-            == bytes(dropped for _, dropped in ref.loss_trace)
+        assert list(enumerate(path.flags[:path.drawn])) == ref.loss_trace
         assert path.queue_drop_log == ref.queue_drop_log
 
 

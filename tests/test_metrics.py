@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from zigzagsim import metrics
 from zigzagsim.control import ROW, ROW_KINDS, ControllerTrace, TraceRecord
-from zigzagsim.harness import FlowStats, run_scenario
+from zigzagsim.harness import FlowStats, LossTrace, run_scenario
 from zigzagsim.scenario import LossSpec, Scenario
 
 
@@ -115,6 +115,20 @@ class TestSummarize:
         baseline, zigzag = run_pair(flow_count=1, loss=self.LOSS, seed=1)
         with pytest.raises(ValueError, match="one baseline run and one"):
             metrics.summarize(zigzag, baseline)
+
+    def test_diverging_loss_traces_rejected(self):
+        baseline, zigzag = run_pair(flow_count=1, loss=self.LOSS, seed=1)
+        flags = zigzag.loss_trace[:]
+        flipped = bytes([1 - flags[0]]) + flags[1:]
+        with pytest.raises(ValueError, match="loss traces diverge"):
+            metrics.summarize(baseline, zigzag._replace(
+                loss_trace=LossTrace(flipped)))
+        # traces of unequal length that agree on their common prefix are
+        # one drop stream, read to two depths
+        row = metrics.summarize(baseline, zigzag)
+        for shorter in (b"", flags[:len(flags) // 2]):
+            assert metrics.summarize(baseline, zigzag._replace(
+                loss_trace=LossTrace(shorter))) == row
 
     def test_utilization_bounded(self):
         baseline, zigzag = run_pair(flow_count=1, seed=7)
