@@ -72,18 +72,17 @@ class CongestionController:
     """
 
     def __init__(self, policy=BASELINE, strict_n4=False, alpha=DEFAULT_ALPHA,
-                 cwnd=INITIAL_CWND, ssthresh=INITIAL_SSTHRESH, mean=0.0,
-                 dev=0.0, sample_count=0, flow_id=0):
+                 ssthresh=INITIAL_SSTHRESH, flow_id=0):
         self.policy = policy
         self.strict_n4 = strict_n4
         self.alpha = alpha
-        self.cwnd = cwnd
+        self.cwnd = INITIAL_CWND
         self.ssthresh = ssthresh
         self.congestion_events = 0
         self.wireless_events = 0
-        self.mean = mean
-        self.dev = dev
-        self.sample_count = sample_count
+        self.mean = 0.0
+        self.dev = 0.0
+        self.sample_count = 0
         self.trace = ControllerTrace(flow_id)
 
     def on_ack(self, t, rtt, window_limited=True):
@@ -192,8 +191,8 @@ ROW = struct.Struct("=ddBqddd")
 class ControllerTrace:
     """One flow's controller trace, kept as packed ROW records.
 
-    The flow id is stored once.  Iterating yields TraceRecord views; the
-    trace hash, the CSV writer and the halving check read unpack().
+    The flow id is stored once.  Iterating yields TraceRecord views; text()
+    and the halving check read unpack(), and the trace hash reads rows.
     """
 
     __slots__ = ("flow_id", "rows")
@@ -218,11 +217,11 @@ class ControllerTrace:
             yield TraceRecord(t, flow_id, cwnd, phase, event, cls, n, rott_i,
                               mean, dev)
 
-    def text(self, end):
-        """Every row's as_row text followed by ``end``, as one string."""
+    def text(self):
+        """Every row's as_row text followed by "\r\n", as one string."""
         # per kind, the template with the flow id and words written in
         formats = [ROW_TEMPLATE.format(flow=self.flow_id, phase=phase,
-                                       event=event, cls=cls) + end
+                                       event=event, cls=cls) + "\r\n"
                    for phase, event, cls in ROW_KINDS]
         return "".join([formats[kind] % (t, cwnd, n, rott_i, mean, dev)
                         for t, cwnd, kind, n, rott_i, mean, dev

@@ -134,13 +134,13 @@ class ForwardPath:
 class FlowStats:
     """One flow's packet counts and delivery times; equal when all are."""
 
-    def __init__(self, delivery_times=()):
+    def __init__(self):
         self.sent = 0
         self.queue_drops = 0
         self.wireless_drops = 0
         self.timeouts = 0
         self.generated = 0
-        self.delivery_times = array("d", delivery_times)
+        self.delivery_times = array("d")
 
     def __eq__(self, other):
         return type(other) is type(self) and vars(other) == vars(self)

@@ -43,6 +43,8 @@ def mean_burst_length(q):
     """Expected consecutive drops: geometric sojourn in Bad, 1/q."""
     if q <= 0.0:
         raise ValueError("q must be positive: a burst never ends")
+    if 1.0 / q == float("inf"):
+        raise ValueError(f"q = {q!r} is too small: 1/q overflows a float")
     return 1.0 / q
 
 

@@ -56,20 +56,22 @@ def throughput_series(result):
 
 
 def controller_trace_hash(result):
-    """Stable digest of all controller trace rows, for determinism checks."""
+    """sha256 of each trace's b"flow_id,rows;" and its packed rows; ROW is
+    native byte order, so pinned values hold on little-endian hosts."""
     import hashlib  # deferred: only the determinism checks hash traces
     h = hashlib.sha256()
     for trace in result.traces:
-        h.update(trace.text("\n").encode())
+        h.update(b"%d,%d;%b" % (trace.flow_id, len(trace), trace.rows))
     return h.hexdigest()
 
 
 def delivery_hash(result):
+    """sha256 of each flow's b"delivered;" and its delivery_times doubles,
+    native byte order, so pinned values hold on little-endian hosts."""
     import hashlib  # deferred: only the determinism checks hash deliveries
     h = hashlib.sha256()
     for fs in result.flows:
-        h.update(("".join(["%.9f;" % t for t in fs.delivery_times])
-                  + "|").encode())
+        h.update(b"%d;%b" % (fs.delivered, fs.delivery_times))
     return h.hexdigest()
 
 
@@ -169,7 +171,7 @@ def write_series_csv(path, series):
 
 def write_controller_trace_csv(path, result):
     _write_csv(path, TraceRecord._fields, (
-        trace.text("\r\n") for trace in result.traces))
+        trace.text() for trace in result.traces))
 
 
 def write_summary_csv(path, rows):

@@ -473,6 +473,20 @@ class TestValidateLoss:
                          "--n", "100000"]) == 0
         assert "z-score        n/a" in capsys.readouterr().out
 
+    def test_burst_that_overflows_is_rejected(self, capsys):
+        # were 1/q inf, the burst check would read inf <= 0.05 * inf and
+        # pass whatever the empirical burst; a q that tiny is an input
+        # error, while a large finite 1/q is still checked, and fails
+        assert cli.main(["validate-loss", "--p", "0.5", "--q", "1e-310",
+                         "--n", "100000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err \
+            == "error: q = 1e-310 is too small: 1/q overflows a float\n"
+        assert cli.main(["validate-loss", "--p", "0.5", "--q", "1e-300",
+                         "--n", "100000"]) == 3
+        assert "verdict            FAIL" in capsys.readouterr().out
+
     def test_small_sample_rejected(self, capsys):
         assert cli.main(["validate-loss", "--p", "0.01", "--q", "0.5",
                          "--n", "1000"]) == 1

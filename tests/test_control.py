@@ -13,6 +13,19 @@ from zigzagsim.kernel import RngStream, Simulator
 from zigzagsim.scenario import Scenario
 
 
+def controller(**kwargs):
+    """A CongestionController built with the constructor's arguments in
+    ``kwargs``; the others are its state (cwnd, mean, dev, sample_count),
+    set on it after construction."""
+    state = {name: kwargs.pop(name)
+             for name in ("cwnd", "mean", "dev", "sample_count")
+             if name in kwargs}
+    ctrl = CongestionController(**kwargs)
+    for name, value in state.items():
+        setattr(ctrl, name, value)
+    return ctrl
+
+
 class TestOnAckRottSample:
     """The ROTT sample on_ack returns, and averages."""
 
@@ -39,15 +52,15 @@ class TestRottMeanAndDeviation:
     as on_ack(t, 2 * r), which halves back to r exactly."""
 
     def test_fixed_point(self):
-        ctrl = CongestionController(alpha=0.125, mean=0.300, dev=0.0,
-                                    sample_count=1)
+        ctrl = controller(alpha=0.125, mean=0.300, dev=0.0,
+                          sample_count=1)
         ctrl.on_ack(0.0, 2 * 0.300)
         assert ctrl.mean == pytest.approx(0.300)
         assert ctrl.dev == pytest.approx(0.0)
 
     def test_update_uses_new_mean_in_deviation(self):
-        ctrl = CongestionController(alpha=0.125, mean=0.100, dev=0.020,
-                                    sample_count=1)
+        ctrl = controller(alpha=0.125, mean=0.100, dev=0.020,
+                          sample_count=1)
         ctrl.on_ack(0.0, 2 * 0.180)
         assert ctrl.mean == pytest.approx(0.110)
         assert ctrl.dev == pytest.approx(0.0325)
@@ -70,8 +83,8 @@ class TestRottMeanAndDeviation:
            alpha=st.floats(0.01, 0.49))
     @settings(max_examples=100, deadline=None)
     def test_mean_converges_geometrically(self, r, k, alpha):
-        ctrl = CongestionController(alpha=alpha, mean=5 * r, dev=r,
-                                    sample_count=1)
+        ctrl = controller(alpha=alpha, mean=5 * r, dev=r,
+                          sample_count=1)
         for _ in range(k):
             ctrl.on_ack(0.0, 2 * r)
         # exact geometric decay plus accumulated rounding slack
@@ -83,8 +96,8 @@ class TestRottMeanAndDeviation:
            alpha=st.floats(0.01, 0.49))
     @settings(max_examples=100, deadline=None)
     def test_dev_decays_monotonically_at_converged_mean(self, r, d0, alpha):
-        ctrl = CongestionController(alpha=alpha, mean=r, dev=d0,
-                                    sample_count=1)
+        ctrl = controller(alpha=alpha, mean=r, dev=d0,
+                          sample_count=1)
         prev = ctrl.dev
         for _ in range(50):
             ctrl.on_ack(0.0, 2 * r)
@@ -161,14 +174,14 @@ def packets_sent_at(cwnd):
 
 class TestCongestionController:
     def test_slow_start_exponential_growth(self):
-        ctrl = CongestionController(policy=BASELINE, cwnd=2.0, ssthresh=64.0)
+        ctrl = controller(policy=BASELINE, cwnd=2.0, ssthresh=64.0)
         for _ in range(2):
             assert ctrl.on_ack(0.0, rtt=0.6) == 0.6 / 2
         assert ctrl.cwnd == 2.0 + 1 + 1
         assert ctrl.cwnd < ctrl.ssthresh  # still in slow start
 
     def test_congestion_avoidance_additive_increase(self):
-        ctrl = CongestionController(policy=BASELINE, cwnd=10.0, ssthresh=5.0)
+        ctrl = controller(policy=BASELINE, cwnd=10.0, ssthresh=5.0)
         expected = 10.0
         for _ in range(10):
             assert ctrl.on_ack(0.0, rtt=0.6) == 0.6 / 2
@@ -178,7 +191,7 @@ class TestCongestionController:
         assert not ctrl.cwnd < ctrl.ssthresh  # congestion avoidance
 
     def test_growth_crosses_ssthresh(self):
-        ctrl = CongestionController(policy=BASELINE, cwnd=3.0, ssthresh=5.0)
+        ctrl = controller(policy=BASELINE, cwnd=3.0, ssthresh=5.0)
         expected = 3.0
         for _ in range(6):
             ctrl.on_ack(0.0, rtt=0.6)
@@ -198,12 +211,12 @@ class TestCongestionController:
             == (1.0 - ctrl.alpha) * (0.6 / 2) + ctrl.alpha * (0.9 / 2)
 
     def test_app_limited_ack_does_not_grow(self):
-        ctrl = CongestionController(cwnd=10.0, ssthresh=5.0)
+        ctrl = controller(cwnd=10.0, ssthresh=5.0)
         assert ctrl.on_ack(0.0, rtt=0.6, window_limited=False) == 0.6 / 2
         assert ctrl.cwnd == pytest.approx(10.0)
 
     def test_baseline_always_halves(self):
-        ctrl = CongestionController(policy=BASELINE, cwnd=16.0, ssthresh=8.0)
+        ctrl = controller(policy=BASELINE, cwnd=16.0, ssthresh=8.0)
         ctrl.on_ack(0.0, rtt=0.6)
         # would classify wireless under zig-zag; baseline halves regardless
         cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.01))
@@ -213,8 +226,8 @@ class TestCongestionController:
         assert ctrl.wireless_events == 0
 
     def test_zigzag_wireless_keeps_window(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
-                                    mean=0.300, dev=0.010, sample_count=10)
+        ctrl = controller(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
+                          mean=0.300, dev=0.010, sample_count=10)
         cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.250))
         assert cls == WIRELESS
         assert ctrl.cwnd == pytest.approx(16.0)
@@ -222,40 +235,40 @@ class TestCongestionController:
         assert ctrl.congestion_events == 0
 
     def test_zigzag_congestion_halves(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
-                                    mean=0.300, dev=0.010, sample_count=10)
+        ctrl = controller(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
+                          mean=0.300, dev=0.010, sample_count=10)
         cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.400))
         assert cls == CONGESTION
         assert ctrl.cwnd == pytest.approx(8.0)
 
     def test_halving_floor(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=3.0, ssthresh=2.0,
-                                    mean=0.300, dev=0.0, sample_count=5)
+        ctrl = controller(policy=ZIGZAG, cwnd=3.0, ssthresh=2.0,
+                          mean=0.300, dev=0.0, sample_count=5)
         ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.400))
         assert ctrl.cwnd == pytest.approx(2.0)
         assert ctrl.cwnd >= 1.0
 
     def test_unsampled_estimator_defaults_to_congestion(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=10.0)
+        ctrl = controller(policy=ZIGZAG, cwnd=10.0)
         cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.0))
         assert cls == CONGESTION
         # a mean and deviation that would classify it wireless are not
         # read before the first sample
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=10.0, mean=0.300,
-                                    dev=0.010, sample_count=0)
+        ctrl = controller(policy=ZIGZAG, cwnd=10.0, mean=0.300,
+                          dev=0.010, sample_count=0)
         cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.250))
         assert cls == CONGESTION
 
     def test_forced_congestion_overrides_policy(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
-                                    mean=0.300, dev=0.010, sample_count=10)
+        ctrl = controller(policy=ZIGZAG, cwnd=16.0, ssthresh=8.0,
+                          mean=0.300, dev=0.010, sample_count=10)
         cls = ctrl.on_loss_event(0.0, LossEvent(n=1, rott_at_detection=0.01),
                                  forced_congestion=True)
         assert cls == CONGESTION
 
     def test_counter_conservation(self):
-        ctrl = CongestionController(policy=ZIGZAG, cwnd=50.0, ssthresh=8.0,
-                                    mean=0.300, dev=0.010, sample_count=10)
+        ctrl = controller(policy=ZIGZAG, cwnd=50.0, ssthresh=8.0,
+                          mean=0.300, dev=0.010, sample_count=10)
         events = [LossEvent(n=n, rott_at_detection=r)
                   for n, r in [(1, 0.25), (2, 0.4), (1, 0.31), (4, 0.305)]]
         for ev in events:
@@ -271,8 +284,17 @@ class TestCongestionController:
 
     @pytest.mark.parametrize("name", ["cwnd", "ssthresh"])
     def test_floor_is_a_valid_window(self, name):
-        assert int(CongestionController(**{name: MIN_SSTHRESH}).cwnd) \
+        assert int(controller(**{name: MIN_SSTHRESH}).cwnd) \
             >= MIN_SSTHRESH
+
+    def test_state_starts_fresh(self):
+        # the constructor takes the scenario's settings only; the window
+        # and the ROTT estimate start as on a new flow
+        ctrl = CongestionController(ZIGZAG, True, 0.25, 8.0, 3)
+        assert (ctrl.policy, ctrl.strict_n4, ctrl.alpha, ctrl.ssthresh,
+                ctrl.trace.flow_id) == (ZIGZAG, True, 0.25, 8.0, 3)
+        assert (ctrl.cwnd, ctrl.mean, ctrl.dev, ctrl.sample_count) \
+            == (INITIAL_CWND, 0.0, 0.0, 0)
 
     def test_loss_event_requires_positive_n(self):
         with pytest.raises(ValueError):
@@ -341,9 +363,9 @@ class TestFoldedAckPath:
     def test_calls_match_the_reference(self, policy, strict_n4, cwnd,
                                        ssthresh, alpha, mean, dev, samples,
                                        calls):
-        ctrl = CongestionController(policy=policy, strict_n4=strict_n4,
-                                    alpha=alpha, cwnd=cwnd, ssthresh=ssthresh,
-                                    mean=mean, dev=dev, sample_count=samples)
+        ctrl = controller(policy=policy, strict_n4=strict_n4,
+                          alpha=alpha, cwnd=cwnd, ssthresh=ssthresh,
+                          mean=mean, dev=dev, sample_count=samples)
         trace = ctrl.trace
         a = alpha
         for t, call in enumerate(calls):

@@ -22,6 +22,12 @@ events before).  The ``fb`` event now takes its insertion number at send
 time, which could reorder events that share a timestamp; every hash,
 total and other count is unchanged by that.
 
+The trace and delivery hashes are the sha256 of what a run stores: each
+trace's packed rows and each flow's delivery times, as doubles.  Before,
+they hashed a text rendering of both, and the text digests are still
+checked here against their old pins, so the two pins of each are shown
+on the same runs.
+
 The loss trace is pinned by the sha256 of its drop flags, one byte per
 draw.  It was pinned before as the repr of the (packet_index, dropped,
 state) tuples its iteration yielded, where the state was derived from the
@@ -54,10 +60,14 @@ SCENARIO = Scenario(flow_count=10, aggregate_rate_bps=1.5e6,
 
 GOLDEN = {
     "baseline": {
-        "trace_hash": "14851079a232a9ca53cafd5c6b5972e9"
-                      "5736667005eb7bc03be7328f45cfe46c",
-        "delivery_hash": "def758aa0d73e69593d1ae386b2a334c"
-                         "4dc145c087f0f8c482a81f2274ea4c94",
+        "trace_hash": "e59bca621da8ba67cdf9171f3ee751cc"
+                      "c841aff0d3b3fd9ac2d3708da52b2580",
+        "delivery_hash": "148d3abc6c2d2860bc13447cbc1dff1c"
+                         "3dbdb9c50ee024dd83346f6612acfcac",
+        "text_trace_hash": "14851079a232a9ca53cafd5c6b5972e9"
+                           "5736667005eb7bc03be7328f45cfe46c",
+        "text_delivery_hash": "def758aa0d73e69593d1ae386b2a334c"
+                              "4dc145c087f0f8c482a81f2274ea4c94",
         "loss_flags_sha256": "31a93b77f57c966d39521637b0499012"
                              "67932f3559fbbaadd6e85bd8cd78357a",
         "queue_drop_log_hash": "a14015a912c6c0fab9b93af10c61bc87"
@@ -75,10 +85,14 @@ GOLDEN = {
                             "4170aec13a6abf66b80aad81d170f0c7",
     },
     "zigzag": {
-        "trace_hash": "54fd7c2c4cfe4c233f66d18ea41d448e"
-                      "a40751b1ca37643fa1175107e5e89727",
-        "delivery_hash": "494657580c62686d1360575f6abf2647"
-                         "e94679b9d6e7826c5593f3747b267c0b",
+        "trace_hash": "5e29d2e547023093ec42a35097ae1ede"
+                      "5300481e0339bb85b99491f4fc570ad3",
+        "delivery_hash": "6b1fe39bc72c905ca6fc550058ef7f1f"
+                         "f895de57edad2b40afd81b82111c5dd6",
+        "text_trace_hash": "54fd7c2c4cfe4c233f66d18ea41d448e"
+                           "a40751b1ca37643fa1175107e5e89727",
+        "text_delivery_hash": "494657580c62686d1360575f6abf2647"
+                              "e94679b9d6e7826c5593f3747b267c0b",
         "loss_flags_sha256": "4df1edafa92b63f1da5045c331458da3"
                              "196366ffa67c84b1ae23bc225b556597",
         "queue_drop_log_hash": "a14015a912c6c0fab9b93af10c61bc87"
@@ -106,6 +120,25 @@ def file_sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def text_trace_hash(result):
+    """The trace digest as it was before it hashed the packed rows: the
+    sha256 of every trace's text, with "\n" line ends."""
+    h = hashlib.sha256()
+    for trace in result.traces:
+        h.update(trace.text().replace("\r\n", "\n").encode())
+    return h.hexdigest()
+
+
+def text_delivery_hash(result):
+    """The delivery digest as it was before it hashed the stored doubles:
+    the sha256 of each flow's "%.9f;" delivery times and a "|"."""
+    h = hashlib.sha256()
+    for fs in result.flows:
+        h.update(("".join(["%.9f;" % t for t in fs.delivery_times])
+                  + "|").encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("policy", sorted(GOLDEN))
 def test_golden_pair(policy, tmp_path):
     golden = GOLDEN[policy]
@@ -120,6 +153,8 @@ def test_golden_pair(policy, tmp_path):
     totals["loss_trace"] = len(result.loss_trace)
     assert metrics.controller_trace_hash(result) == golden["trace_hash"]
     assert metrics.delivery_hash(result) == golden["delivery_hash"]
+    assert text_trace_hash(result) == golden["text_trace_hash"]
+    assert text_delivery_hash(result) == golden["text_delivery_hash"]
     assert hashlib.sha256(result.loss_trace[:]).hexdigest() \
         == golden["loss_flags_sha256"]
     assert digest(result.queue_drop_log) == golden["queue_drop_log_hash"]

@@ -224,6 +224,10 @@ class TestAnalytic:
     def test_mean_burst_infinite(self):
         with pytest.raises(ValueError, match="^q must be positive"):
             mean_burst_length(0.0)
+        # a q so small that 1/q overflows is no finite burst either
+        with pytest.raises(ValueError, match=r"^q = 1e-310 is too small"):
+            mean_burst_length(1e-310)
+        assert mean_burst_length(1e-308) == pytest.approx(1e308)
 
     def test_geometric_oracle(self):
         # brute-force expectation of the geometric burst-length law
