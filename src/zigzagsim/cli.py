@@ -236,7 +236,8 @@ def validate_loss_model(p, q, packet_count, seed, report=print):
     report(f"  analytic  PLR      {100 * analytic_plr:.4f}%  (p/(p+q))")
     report(f"  PLR z-score        {z}  (standard errors from p/(p+q))")
     report(f"  empirical burst    {stats['mean_burst']:.4f}")
-    report(f"  analytic  burst    {analytic_burst:.4f}  (1/q)")
+    burst_format = ".4f" if analytic_burst < 1e6 else ".4e"
+    report(f"  analytic  burst    {analytic_burst:{burst_format}}  (1/q)")
     report(f"  P(drop|drop)       {stats['p_drop_given_drop']:.4f}  "
            f"(1-q = {1 - q:.4f})")
     if p == 0.0:

@@ -37,12 +37,6 @@ IN_FLIGHT = "in flight"
 QUEUE_DROP = "queue"
 WIRELESS_DROP = "wireless"
 
-# wireless drop flags drawn from the loss model at a time.  Drawing ahead
-# is exact: the path's "loss" substream feeds nothing else, and
-# loss.simulate_trace makes the draws should_drop would make.
-DRAW_CHUNK = 4096
-
-
 class LossTrace:
     """A finished run's wireless drop flags, one byte per loss draw.
 
@@ -74,10 +68,11 @@ class ForwardPath:
     computed arrival time, and still happen in arrival order.  Queue
     occupancy counts packets waiting plus the one in service; arrivals to
     a full queue are dropped (the congestion losses).  Each admitted
-    packet reads the next drop flag, drawn from the loss model DRAW_CHUNK
-    flags at a time; a wireless drop still consumes airtime but never
-    arrives.  ``flags`` may run ahead of the packets drawn so far, which
-    read its first ``drawn`` bytes.
+    packet reads the next drop flag, drawn from the loss model
+    ``loss.DRAW_CHUNK`` flags at a time (exact, as the path's "loss"
+    substream feeds nothing else); a wireless drop still consumes airtime
+    but never arrives.  ``flags`` may run ahead of the packets drawn so
+    far, which read its first ``drawn`` bytes.
     """
 
     def __init__(self, capacity, loss_model, rng, horizon_s):
@@ -123,7 +118,7 @@ class ForwardPath:
             if n == len(flags):
                 # through the module, where the benchmark's tracer wraps it
                 flags += loss.simulate_trace(self.loss_model, self.rng,
-                                             DRAW_CHUNK)
+                                             loss.DRAW_CHUNK)
             self.drawn = n + 1
             if flags[n]:
                 return WIRELESS_DROP

@@ -48,29 +48,74 @@ def mean_burst_length(q):
     return 1.0 / q
 
 
+# draws per getrandbits call, in simulate_trace and in the path's draw-ahead
+DRAW_CHUNK = 4096
+# a class byte (0 keep, 1 flip, 2 reset) as a flip bit, as a reset bit;
+# a state bit's digit as a drop flag
+_FLIP_BITS = bytes.maketrans(b"\0\1\2", b"010")
+_RESET_BITS = bytes.maketrans(b"\0\1\2", b"001")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def simulate_trace(model, rng, count):
     """Drive ``model`` for ``count`` packets; return a bytearray of 0/1 drop
     flags.
 
     Makes the draws ``count`` calls to ``should_drop`` would make, from the
-    model's current state, and leaves the model in the final state.
+    model's current state, and leaves the model in the final state.  Each
+    chunk is one ``getrandbits(64 * m)``: draw j is its words a, b (bytes
+    8j to 8j + 8), and ``random()`` would return u = k / 2**53 with
+    k = (a >> 5) << 26 | b >> 6, so u < x exactly when k < x * 2**53.
+    Against lo <= hi, the scaled thresholds, a Gilbert draw flips the state
+    below lo, resets it to Bad if p > q (else Good) below hi, and keeps it
+    from hi.  Its top byte, ``raw[3::8]``, settles the class unless it
+    equals a threshold's; only those draws are compared one at a time.
     """
-    flags = bytearray(count)
-    rand = rng.random
-    if isinstance(model, GilbertElliottModel):
-        # should_drop's chain rule
-        p, q = model.p, model.q
-        bad = model.bad
-        for i in range(count):
-            bad = rand() >= q if bad else rand() < p
-            if bad:
-                flags[i] = 1
-        model.bad = bad
+    gilbert = isinstance(model, GilbertElliottModel)
+    # the exact thresholds ceil(x * 2**53), by floor division of -x * 2**53
+    if gilbert:
+        kp, kq = (-int(x * -2.0 ** 53 // 1) for x in (model.p, model.q))
+        lo, hi, bad = min(kp, kq), max(kp, kq), model.bad
     else:
-        plr = model.plr
-        for i in range(count):
-            if rand() < plr:
-                flags[i] = 1
+        lo = hi = -int(model.plr * -2.0 ** 53 // 1)
+    a, b = lo >> 45, hi >> 45
+    table = b"\1" * a + b"\3" + b"\2" * (b - a - 1) + b"\3" * (a < b)
+    table = (table + bytes(256))[:256]  # class of each top byte; 3 a tie
+    flags = bytearray(count)
+    for start in range(0, count, DRAW_CHUNK):
+        m = min(DRAW_CHUNK, count - start)
+        raw = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+        cls = bytearray(raw[3::8].translate(table))
+        j = cls.find(3)
+        while j >= 0:
+            w = int.from_bytes(raw[8 * j:8 * j + 8], "little")
+            k = (w & 0xFFFFFFFF) >> 5 << 26 | w >> 38
+            cls[j] = 1 if k < lo else 2 if k < hi else 0
+            j = cls.find(3, j + 1)
+        if gilbert:
+            # bit i is draw i; the state is the prefix parity of the flips
+            # (from the incoming state), corrected after each reset that
+            # finds the parity unequal to the state it sets
+            rev, full = cls[::-1], (1 << m) - 1
+            par, shift = int(rev.translate(_FLIP_BITS), 2) ^ bad, 1
+            while shift < m:
+                par ^= par << shift
+                shift <<= 1
+            par &= full
+            resets = int(rev.translate(_RESET_BITS), 2)
+            # run is 0 at each reset that agrees with the parity, and the
+            # parity is flipped from a run's first disagreeing reset to its
+            # end; head, the part before that reset, is the carry from the
+            # run's start that the first reset stops
+            run = full ^ resets ^ (resets & (par ^ -(kp > kq)))
+            rest = full ^ resets
+            head = ((rest + (run & ~(run << 1))) ^ rest) & rest
+            state = par ^ run ^ head
+            bad = state >> (m - 1) == 1
+            cls = format(state, f"0{m}b").encode()[::-1].translate(_FLAGS)
+        flags[start:start + m] = cls
+    if gilbert:
+        model.bad = bad
     return flags
 
 

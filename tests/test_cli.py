@@ -487,6 +487,18 @@ class TestValidateLoss:
                          "--n", "100000"]) == 3
         assert "verdict            FAIL" in capsys.readouterr().out
 
+    def test_huge_burst_keeps_the_columns(self, capsys):
+        # 1/q printed as .4f wrote every one of its 301 digits
+        assert cli.main(["validate-loss", "--p", "0.5", "--q", "1e-300",
+                         "--n", "100000"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert max(len(line) for line in lines) <= 80
+        assert "  analytic  burst    1.0000e+300  (1/q)" in lines
+        assert cli.main(["validate-loss", "--p", "0.5", "--q", "2e-6",
+                         "--n", "100000"]) == 3
+        assert "  analytic  burst    500000.0000  (1/q)" \
+            in capsys.readouterr().out.splitlines()
+
     def test_small_sample_rejected(self, capsys):
         assert cli.main(["validate-loss", "--p", "0.01", "--q", "0.5",
                          "--n", "1000"]) == 1

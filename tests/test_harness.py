@@ -13,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from zigzagsim import harness, metrics
 from zigzagsim.control import BASELINE, MIN_SSTHRESH, ZIGZAG
-from zigzagsim.harness import (DRAW_CHUNK, IN_FLIGHT, INITIAL_RTO_S,
-                               QUEUE_DROP, WIRED_BANDWIDTH_BPS, WIRED_DELAY_S,
+from zigzagsim.harness import (IN_FLIGHT, INITIAL_RTO_S, QUEUE_DROP,
+                               WIRED_BANDWIDTH_BPS, WIRED_DELAY_S,
                                WIRELESS_BANDWIDTH_BPS, WIRELESS_DELAY_S,
                                WIRELESS_DROP, ForwardPath, Network, Sender,
                                run_scenario)
 from zigzagsim.kernel import RngStream, Simulator
-from zigzagsim.loss import GilbertElliottModel, UniformLossModel
+from zigzagsim.loss import (DRAW_CHUNK, GilbertElliottModel,
+                            UniformLossModel)
 from zigzagsim.scenario import MAX_FLOWS, LossSpec, Scenario, ScenarioError
 
 WIRED_SER_S = 8000 / WIRED_BANDWIDTH_BPS
@@ -205,15 +206,24 @@ class ReferencePath:
         return delivery if delivery <= self.horizon_s else IN_FLIGHT
 
 
-class CoarseRng:
+class CoarseRng(random.Random):
     """A seeded substream rounded down to eighths: its draws often equal a
-    threshold on the same grid, where ``<`` and ``<=`` part ways."""
+    threshold on the same grid, where ``<`` and ``<=`` part ways.
+
+    Each draw keeps only the top 3 bits of its first 32-bit word, both in
+    the bulk ``getrandbits(64 * m)`` and in ``random()``, which reads the
+    same words, so bulk and per-packet draws see the same eighths."""
 
     def __init__(self, seed):
-        self._random = RngStream(seed).substream("loss").random
+        super().__init__()
+        self.setstate(RngStream(seed).substream("loss").getstate())
+
+    def getrandbits(self, k):
+        top3 = b"\0\0\0\xe0\0\0\0\0" * (k // 64)
+        return super().getrandbits(k) & int.from_bytes(top3, "little")
 
     def random(self):
-        return int(self._random() * 8) / 8
+        return (self.getrandbits(64) >> 29) / 8
 
 
 EIGHTHS = st.sampled_from([i / 8 for i in range(9)])

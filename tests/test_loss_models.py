@@ -1,10 +1,14 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zigzagsim.kernel import RngStream
-from zigzagsim.loss import (GilbertElliottModel, UniformLossModel,
-                            mean_burst_length, simulate_trace,
-                            steady_state_plr, trace_statistics)
+from zigzagsim.loss import (DRAW_CHUNK, GilbertElliottModel,
+                            UniformLossModel, mean_burst_length,
+                            simulate_trace, steady_state_plr,
+                            trace_statistics)
 
 
 def rng(name="loss", seed=1):
@@ -21,15 +25,24 @@ class FixedRng:
         return self.values.pop(0)
 
 
-class CoarseRng:
+class CoarseRng(random.Random):
     """A seeded substream rounded down to eighths: its draws often equal a
-    threshold on the same grid, where ``<`` and ``<=`` part ways."""
+    threshold on the same grid, where ``<`` and ``<=`` part ways.
+
+    Each draw keeps only the top 3 bits of its first 32-bit word, both in
+    the bulk ``getrandbits(64 * m)`` and in ``random()``, which reads the
+    same words, so bulk and per-packet draws see the same eighths."""
 
     def __init__(self, seed):
-        self._random = rng(seed=seed).random
+        super().__init__()
+        self.setstate(rng(seed=seed).getstate())
+
+    def getrandbits(self, k):
+        top3 = b"\0\0\0\xe0\0\0\0\0" * (k // 64)
+        return super().getrandbits(k) & int.from_bytes(top3, "little")
 
     def random(self):
-        return int(self._random() * 8) / 8
+        return (self.getrandbits(64) >> 29) / 8
 
 
 # probabilities on the eighths grid (0 and 1 included) or anywhere in [0, 1]
@@ -95,6 +108,20 @@ class TestBulkDraws:
     @given(p=PROB, q=PROB, seed=st.integers(0, 2 ** 32),
            coarse=st.booleans(), before=st.integers(0, 30),
            count=st.integers(0, 5000), after=st.integers(0, 30))
+    # past three chunks: bursts of mean 1/q >= 64 draws that straddle the
+    # chunk boundaries, p > q (a reset sets Bad), p == q (no reset at all)
+    @example(p=0.01, q=1 / 64, seed=5, coarse=False, before=3,
+             count=3 * DRAW_CHUNK + 7, after=5)
+    @example(p=0.002, q=1 / 200, seed=16, coarse=False, before=0,
+             count=4 * DRAW_CHUNK, after=9)
+    @example(p=0.5, q=1 / 64, seed=7, coarse=False, before=1,
+             count=3 * DRAW_CHUNK + 1, after=2)
+    @example(p=0.875, q=0.125, seed=8, coarse=True, before=4,
+             count=3 * DRAW_CHUNK + 55, after=3)
+    @example(p=0.3, q=0.3, seed=9, coarse=False, before=2,
+             count=3 * DRAW_CHUNK + 300, after=4)
+    @example(p=0.125, q=0.125, seed=10, coarse=True, before=0,
+             count=3 * DRAW_CHUNK + 2, after=1)
     def test_gilbert(self, p, q, seed, coarse, before, count, after):
         self.assert_bulk_matches(lambda: GilbertElliottModel(p, q), seed,
                                  coarse, before, count, after)
@@ -103,6 +130,10 @@ class TestBulkDraws:
     @given(plr=PROB, seed=st.integers(0, 2 ** 32), coarse=st.booleans(),
            before=st.integers(0, 30), count=st.integers(0, 5000),
            after=st.integers(0, 30))
+    @example(plr=1 / 51, seed=11, coarse=False, before=5,
+             count=3 * DRAW_CHUNK + 9, after=6)
+    @example(plr=0.5, seed=12, coarse=True, before=0,
+             count=3 * DRAW_CHUNK, after=2)
     def test_uniform(self, plr, seed, coarse, before, count, after):
         self.assert_bulk_matches(lambda: UniformLossModel(plr), seed,
                                  coarse, before, count, after)
@@ -111,6 +142,29 @@ class TestBulkDraws:
         flags = simulate_trace(GilbertElliottModel(0.1, 0.4), rng(), 1000)
         assert isinstance(flags, bytearray)
         assert set(flags) == {0, 1}
+
+
+class TestPinnedDraws:
+    """The drop flags of 10^6 draws at seed 3, pinned as the per-packet
+    loop drew them, with the chain's final state and the generator's next
+    draw.  The benchmark's loss check recounts with simulate_trace itself,
+    so it cannot tell a changed draw from the original; these pins can."""
+
+    NEXT_DRAW = 0.6556463075387943
+
+    @pytest.mark.parametrize("make,digest", [
+        (lambda: GilbertElliottModel(0.001, 0.6), "3697bb4ddcf602f8"),
+        (lambda: GilbertElliottModel(0.01, 0.5), "85aab9863cadce62"),
+        (lambda: GilbertElliottModel(0.1, 0.6), "14791e5743eeba77"),
+        (lambda: GilbertElliottModel(0.1, 0.4), "6dd1b6f12197e910"),
+        (lambda: UniformLossModel(1 / 51), "e03e7e3da4fc7835"),
+    ])
+    def test_flags_state_and_next_draw(self, make, digest):
+        model, draws = make(), rng(seed=3)
+        flags = simulate_trace(model, draws, 10 ** 6)
+        assert hashlib.sha256(flags).hexdigest()[:16] == digest
+        assert getattr(model, "bad", False) is False
+        assert draws.random() == self.NEXT_DRAW
 
 
 class TestTraceStatistics:
